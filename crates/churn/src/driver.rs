@@ -8,12 +8,12 @@
 //! Two caches persist across epochs:
 //!
 //! * the **pair cache** maps each `(vp, dst)` pair to its last trace and
-//!   the set of ASes that measurement depends on
-//!   ([`traversed_ases`]). After an epoch's events, a pair is *dirty* —
-//!   re-probed — iff interdomain routing changed, the pair is new to the
-//!   probe matrix, or its AS set intersects the events' touched set;
-//!   everything else replays its cached trace verbatim (the traceroute
-//!   crate's untouched-pairs contract test backs this).
+//!   the set of ASes that measurement depends on, both from one probe
+//!   ([`traceroute::sim::trace_with_deps`]). After an epoch's events, a
+//!   pair is *dirty* — re-probed — iff interdomain routing changed, the
+//!   pair is new to the probe matrix, or its AS set intersects the events'
+//!   touched set; everything else replays its cached trace verbatim (the
+//!   traceroute crate's untouched-pairs contract test backs this).
 //! * the **shard cache** ([`ShardCache`]) replays converged refinement
 //!   outcomes for shards whose fingerprint is unchanged; see
 //!   [`refine_incremental`].
@@ -43,8 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet};
 use traceroute::sim::{
-    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, traversed_ases,
-    ProbeConfig,
+    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, ProbeConfig,
 };
 use traceroute::Trace;
 
@@ -229,8 +228,7 @@ pub fn run_churn(
             probe_pairs_in_pool(&net, &router_pairs, &opts.probe, &wp)
         };
         let mut next_cache: BTreeMap<(usize, u32), PairInfo> = BTreeMap::new();
-        for (key, trace) in dirty.iter().copied().zip(fresh) {
-            let ases = traversed_ases(&net, vps[key.0], key.1);
+        for (key, (trace, ases)) in dirty.iter().copied().zip(fresh) {
             next_cache.insert(key, PairInfo { trace, ases });
         }
         for &key in &pairs {

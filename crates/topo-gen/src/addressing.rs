@@ -55,7 +55,7 @@ pub struct DarkBlock {
 }
 
 /// The complete addressing plan for a synthetic Internet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Addressing {
     /// Primary allocation per AS.
     pub blocks: BTreeMap<Asn, Prefix>,
@@ -63,8 +63,11 @@ pub struct Addressing {
     pub announced: Vec<(Prefix, Asn)>,
     /// Which provider(s) an AS announces through; absent = all providers.
     pub announce_via: BTreeMap<Asn, Vec<Asn>>,
-    /// Reallocated /24s.
+    /// Reallocated /24s (pairwise disjoint).
     pub reallocs: Vec<Realloc>,
+    /// `(first address, index into reallocs)`, ascending: the key of
+    /// [`Addressing::realloc_covering`].
+    realloc_index: Vec<(u32, usize)>,
     /// Dark space.
     pub dark: Vec<DarkBlock>,
     /// RIR delegation table (with staleness).
@@ -283,11 +286,18 @@ impl Addressing {
             announced.push((blocks[&node.asn], node.asn));
         }
 
+        let mut realloc_index: Vec<(u32, usize)> = reallocs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.prefix.addr(), i))
+            .collect();
+        realloc_index.sort_unstable();
         Addressing {
             blocks,
             announced,
             announce_via,
             reallocs,
+            realloc_index,
             dark,
             delegations,
             ixps: ixp_dir,
@@ -328,9 +338,15 @@ impl Addressing {
         self.reallocs.iter().find(|r| r.customer == asn)
     }
 
-    /// The reallocated /24 covering `addr`, if any.
+    /// The reallocated /24 covering `addr`, if any. Reallocations are
+    /// disjoint, so only the last one starting at or below `addr` can.
     pub fn realloc_covering(&self, addr: u32) -> Option<&Realloc> {
-        self.reallocs.iter().find(|r| r.prefix.contains(addr))
+        let above = self
+            .realloc_index
+            .partition_point(|&(first, _)| first <= addr);
+        let &(_, i) = self.realloc_index[..above].last()?;
+        let r = &self.reallocs[i];
+        r.prefix.contains(addr).then_some(r)
     }
 
     /// Ground truth: which AS actually holds `addr` (reallocations and dark
@@ -433,6 +449,25 @@ mod tests {
                 assert_ne!(a.prefix, b.prefix, "realloc /24 collision");
             }
         }
+    }
+
+    #[test]
+    fn realloc_covering_agrees_with_a_linear_scan() {
+        let cfg = GeneratorConfig {
+            realloc_prob: 1.0,
+            stub_multihome_prob: 1.0,
+            ..GeneratorConfig::tiny(5)
+        };
+        let addr = Addressing::generate(&cfg, &AsGraph::generate(&cfg));
+        assert!(addr.reallocs.len() > 1);
+        for r in &addr.reallocs {
+            let (first, last) = (r.prefix.addr(), r.prefix.last_addr());
+            for a in [first - 1, first, first + 77, last, last + 1] {
+                let scan = addr.reallocs.iter().find(|x| x.prefix.contains(a));
+                assert_eq!(addr.realloc_covering(a), scan, "{a:#010x}");
+            }
+        }
+        assert_eq!(addr.realloc_covering(0), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::addressing::Addressing;
 use crate::asgraph::AsGraph;
 use crate::routers::RouterTopology;
-use crate::routing::Routing;
+use crate::routing::{self, RouteTree, Routing};
 use crate::{GeneratorConfig, IfaceId, RouterId, Tier, TrueLink};
 use bgp::{Announcement, Rib};
 use net_types::{Asn, PrefixTrie};
@@ -36,6 +36,14 @@ pub enum ForwardOutcome {
     },
     /// No BGP route toward the address.
     NoRoute,
+}
+
+/// The route replies take back to one prober AS (see
+/// [`Internet::return_route`]).
+#[derive(Clone, Copy, Debug)]
+pub struct ReturnRoute<'a> {
+    vp_as: Asn,
+    tree: Option<&'a RouteTree>,
 }
 
 /// A fully forwarded probe path.
@@ -106,28 +114,26 @@ impl Internet {
 
     /// Forwards a probe from `src_router` toward `dst_addr`, expanding the
     /// AS-level route into the router-level path with per-hop ingress
-    /// interfaces.
+    /// interfaces. A walk over the compiled tables: the route tree toward
+    /// the destination AS, the IXP pair index, and each crossed AS's
+    /// intra-domain table.
     pub fn forward_path(&self, src_router: RouterId, dst_addr: u32) -> ForwardPath {
+        let no_route = || ForwardPath {
+            hops: vec![],
+            outcome: ForwardOutcome::NoRoute,
+        };
         let src_as = self.topology.owner(src_router);
 
-        // Work out the AS-level path and the target router.
+        // The AS the route leads to, the AS it is handed off to from there
+        // (reallocated space only), the target router, and the outcome.
         let target_iface = self.topology.iface_by_addr(dst_addr).map(|i| i.id);
-        let (as_path, target_router, outcome) =
+        let (route_dst, handoff, target_router, outcome) =
             if let Some(r) = self.addressing.realloc_covering(dst_addr) {
                 // Reallocated /24: global routing follows the provider's
                 // covering prefix; the provider hands off to the customer.
-                let Some(mut path) = self.routing.as_path(src_as, r.provider) else {
-                    return ForwardPath {
-                        hops: vec![],
-                        outcome: ForwardOutcome::NoRoute,
-                    };
-                };
-                if *path.last().expect("non-empty") != r.customer {
-                    path.push(r.customer);
-                }
                 let (router, outcome) = match target_iface {
                     Some(ifid)
-                        if self.topology.iface(ifid).router_owner(&self.topology) == r.customer =>
+                        if self.topology.owner(self.topology.iface(ifid).router) == r.customer =>
                     {
                         (
                             self.topology.iface(ifid).router,
@@ -139,64 +145,64 @@ impl Internet {
                         ForwardOutcome::ReachedHostSpace { asn: r.customer },
                     ),
                 };
-                (path, router, outcome)
+                (r.provider, Some(r.customer), router, outcome)
             } else if let Some(ifid) = target_iface {
                 // A real interface address: terminate at its router.
                 let router = self.topology.iface(ifid).router;
                 let owner = self.topology.owner(router);
-                let Some(path) = self.routing.as_path(src_as, owner) else {
-                    return ForwardPath {
-                        hops: vec![],
-                        outcome: ForwardOutcome::NoRoute,
-                    };
-                };
-                (path, router, ForwardOutcome::ReachedIface(ifid))
+                (owner, None, router, ForwardOutcome::ReachedIface(ifid))
+            } else if let Some(origin) = self.bgp_origin(dst_addr) {
+                (
+                    origin,
+                    None,
+                    self.router_for_addr(origin, dst_addr),
+                    ForwardOutcome::ReachedHostSpace { asn: origin },
+                )
             } else {
-                match self.bgp_origin(dst_addr) {
-                    Some(origin) => {
-                        let Some(path) = self.routing.as_path(src_as, origin) else {
-                            return ForwardPath {
-                                hops: vec![],
-                                outcome: ForwardOutcome::NoRoute,
-                            };
-                        };
-                        (
-                            path,
-                            self.router_for_addr(origin, dst_addr),
-                            ForwardOutcome::ReachedHostSpace { asn: origin },
-                        )
-                    }
-                    None => {
-                        return ForwardPath {
-                            hops: vec![],
-                            outcome: ForwardOutcome::NoRoute,
-                        }
-                    }
-                }
+                return no_route();
             };
 
-        // Expand the AS path to routers.
-        let mut hops: Vec<ForwardHop> = vec![ForwardHop {
+        // Expand the AS path to routers as the route tree is walked.
+        let mut hops = Vec::with_capacity(32);
+        hops.push(ForwardHop {
             router: src_router,
             ingress: None,
-        }];
+        });
         let mut cur = src_router;
-        for win in as_path.windows(2) {
-            let (here, next) = (win[0], win[1]);
-            let (egress_router, ingress_router, ingress_iface) =
-                self.cross_boundary(here, next, dst_addr);
-            // Internal walk to the egress border router.
-            self.extend_internal(&mut hops, cur, egress_router);
-            hops.push(ForwardHop {
-                router: ingress_router,
-                ingress: Some(ingress_iface),
-            });
-            cur = ingress_router;
+        let tree = self.routing.tree(route_dst);
+        let routed = routing::walk(tree, src_as, route_dst, |here, next| {
+            cur = self.cross(&mut hops, cur, here, next, dst_addr);
+        });
+        if routed.is_none() {
+            return no_route();
+        }
+        if let Some(customer) = handoff {
+            cur = self.cross(&mut hops, cur, route_dst, customer, dst_addr);
         }
         // Internal walk to the target router inside the final AS.
         self.extend_internal(&mut hops, cur, target_router);
 
         ForwardPath { hops, outcome }
+    }
+
+    /// Walks from `cur` to the border router of `here` facing `next`, then
+    /// across the boundary; returns the ingress router in `next`.
+    fn cross(
+        &self,
+        hops: &mut Vec<ForwardHop>,
+        cur: RouterId,
+        here: Asn,
+        next: Asn,
+        dst_addr: u32,
+    ) -> RouterId {
+        let (egress_router, ingress_router, ingress_iface) =
+            self.cross_boundary(here, next, dst_addr);
+        self.extend_internal(hops, cur, egress_router);
+        hops.push(ForwardHop {
+            router: ingress_router,
+            ingress: Some(ingress_iface),
+        });
+        ingress_router
     }
 
     /// Chooses the router-level crossing for an AS adjacency, load-balanced
@@ -231,28 +237,16 @@ impl Internet {
     }
 
     /// Appends the internal path `from → to` (excluding `from`) to `hops`,
-    /// with per-hop ingress interfaces.
-    fn extend_internal(&self, hops: &mut Vec<ForwardHop>, from: RouterId, to: RouterId) {
-        if from == to {
-            return;
-        }
-        let path = self
+    /// with per-hop ingress interfaces, read from the AS's compiled table.
+    pub(crate) fn extend_internal(&self, hops: &mut Vec<ForwardHop>, from: RouterId, to: RouterId) {
+        let start = hops.len();
+        let back = self
             .topology
-            .internal_path(from, to)
+            .plane
+            .walk_back(from, to)
             .expect("AS internal topology is connected");
-        for win in path.windows(2) {
-            let (prev, cur) = (win[0], win[1]);
-            let ingress = self.topology.router(cur).ifaces.iter().copied().find(|&i| {
-                self.topology
-                    .iface(i)
-                    .neighbor
-                    .is_some_and(|n| self.topology.iface(n).router == prev)
-            });
-            hops.push(ForwardHop {
-                router: cur,
-                ingress,
-            });
-        }
+        hops.extend(back.map(|(router, ingress)| ForwardHop { router, ingress }));
+        hops[start..].reverse();
     }
 
     /// Deterministic "host location": which router inside `asn` serves
@@ -262,16 +256,30 @@ impl Internet {
         routers[addr as usize % routers.len()]
     }
 
+    /// The return route toward prober AS `vp_as`, fetched once per trace
+    /// for [`Internet::reply_source`].
+    pub fn return_route(&self, vp_as: Asn) -> ReturnRoute<'_> {
+        ReturnRoute {
+            vp_as,
+            tree: self.routing.tree(vp_as),
+        }
+    }
+
     /// The source address a router uses when replying to a probe that
-    /// arrived on `ingress`, given the prober's AS. Implements the response
-    /// behaviours: normal routers reply with the ingress interface;
-    /// `egress_reply` routers reply with the interface facing the return
-    /// route (which can expose a third-party address).
-    pub fn reply_source(&self, router: RouterId, ingress: Option<IfaceId>, vp_as: Asn) -> u32 {
+    /// arrived on `ingress`, given the return route to the prober's AS.
+    /// Implements the response behaviours: normal routers reply with the
+    /// ingress interface; `egress_reply` routers reply with the interface
+    /// facing the return route (which can expose a third-party address).
+    pub fn reply_source(
+        &self,
+        router: RouterId,
+        ingress: Option<IfaceId>,
+        back: ReturnRoute<'_>,
+    ) -> u32 {
         let info = self.topology.router(router);
         let router_id_iface = info.ifaces[0];
         if info.egress_reply {
-            if let Some(addr) = self.egress_iface_addr(router, vp_as) {
+            if let Some(addr) = self.egress_iface_addr(router, back) {
                 return addr;
             }
         }
@@ -281,17 +289,16 @@ impl Internet {
         }
     }
 
-    /// The address of the interface `router` would use toward `vp_as`
+    /// The address of the interface `router` would use toward the prober
     /// (reply direction), if one is identifiable.
-    fn egress_iface_addr(&self, router: RouterId, vp_as: Asn) -> Option<u32> {
+    fn egress_iface_addr(&self, router: RouterId, back: ReturnRoute<'_>) -> Option<u32> {
         let owner = self.topology.owner(router);
-        if owner == vp_as {
+        if owner == back.vp_as {
             // Replying within the same AS: use the router-id interface.
             let info = self.topology.router(router);
             return Some(self.topology.iface(info.ifaces[0]).addr);
         }
-        let tree = self.routing.tree(vp_as);
-        let next = tree.get(&owner)?.next;
+        let next = back.tree?.get(&owner)?.next;
         // A direct link from this router to the next AS?
         if let Some(ixp) = self.graph.ixp_for_pair(owner, next) {
             if let Some(&(r, i)) = self.topology.ixp_ports.get(&(ixp, owner)) {
@@ -363,13 +370,6 @@ impl Internet {
     /// Ground truth: is this AS firewalled (drops external probes)?
     pub fn is_firewalled(&self, asn: Asn) -> bool {
         self.graph.node(asn).is_some_and(|n| n.firewalled)
-    }
-}
-
-// Small helper so the realloc branch above reads cleanly.
-impl crate::routers::InterfaceInfo {
-    fn router_owner(&self, topo: &RouterTopology) -> Asn {
-        topo.owner(self.router)
     }
 }
 
@@ -562,7 +562,7 @@ mod tests {
         let fwd = net.forward_path(vp, dst);
         for h in fwd.hops.iter().skip(1) {
             if !net.topology.router(h.router).egress_reply {
-                let src = net.reply_source(h.router, h.ingress, vp_as);
+                let src = net.reply_source(h.router, h.ingress, net.return_route(vp_as));
                 assert_eq!(src, net.topology.iface(h.ingress.unwrap()).addr);
             }
         }

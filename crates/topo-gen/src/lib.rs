@@ -36,10 +36,11 @@ pub mod routers;
 pub mod routing;
 
 mod internet;
+mod intra;
 
 pub use config::GeneratorConfig;
 pub use dynamics::{EventOutcome, TopologyEvent};
-pub use internet::{ForwardHop, ForwardOutcome, ForwardPath, Internet};
+pub use internet::{ForwardHop, ForwardOutcome, ForwardPath, Internet, ReturnRoute};
 
 use net_types::Asn;
 use serde::{Deserialize, Serialize};

@@ -10,6 +10,7 @@
 
 use crate::addressing::Addressing;
 use crate::asgraph::AsGraph;
+use crate::intra::{AsTable, Plane};
 use crate::{GeneratorConfig, IfaceId, RouterId, Tier, TrueLink};
 use net_types::Asn;
 use rand::{Rng, SeedableRng};
@@ -78,7 +79,14 @@ pub struct ExtLink {
 }
 
 /// The full router-level topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Internal forwarding is compiled into per-AS tables (DESIGN.md §12.1);
+/// change the internal topology only through
+/// [`fail_internal_link`](RouterTopology::fail_internal_link),
+/// [`restore_internal_link`](RouterTopology::restore_internal_link) and
+/// [`add_router`](RouterTopology::add_router), which rebuild the touched
+/// AS's table.
+#[derive(Clone, Debug)]
 pub struct RouterTopology {
     /// All routers, indexed by `RouterId`.
     pub routers: Vec<RouterInfo>,
@@ -96,6 +104,8 @@ pub struct RouterTopology {
     /// Address → interface id (for destination-hits-router detection and
     /// alias ground truth).
     pub addr_to_iface: BTreeMap<u32, IfaceId>,
+    /// Compiled intra-domain forwarding tables.
+    pub(crate) plane: Plane,
 }
 
 impl RouterTopology {
@@ -110,6 +120,7 @@ impl RouterTopology {
             ext_links: BTreeMap::new(),
             ixp_ports: BTreeMap::new(),
             addr_to_iface: BTreeMap::new(),
+            plane: Plane::default(),
         };
         let mut pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
         let mut dark_pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
@@ -257,7 +268,17 @@ impl RouterTopology {
             }
         }
 
+        topo.plane = Plane::compile(&topo);
         topo
+    }
+
+    /// Rebuilds the intra-domain table of `asn` after its internal
+    /// topology changed.
+    fn recompile(&mut self, asn: Asn) {
+        let routers = &self.as_routers[&asn];
+        let t = self.plane.table_of(routers[0]);
+        let table = AsTable::compile(self, routers);
+        self.plane.install(t, table, self.routers.len());
     }
 
     fn add_iface(
@@ -337,51 +358,14 @@ impl RouterTopology {
         self.addr_to_iface.get(&addr).map(|&i| self.iface(i))
     }
 
-    /// Shortest internal path between two routers of the same AS (BFS over
-    /// internal links). Returns the router sequence including both ends.
+    /// Shortest internal path between two routers of the same AS, read
+    /// from the compiled table. Returns the router sequence including both
+    /// ends; `None` across ASes.
     pub fn internal_path(&self, from: RouterId, to: RouterId) -> Option<Vec<RouterId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev: BTreeMap<RouterId, RouterId> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
-        prev.insert(from, from);
-        while let Some(cur) = queue.pop_front() {
-            let mut neighbors = self.internal_adj[cur.0 as usize].clone();
-            neighbors.sort_unstable();
-            for n in neighbors {
-                if let std::collections::btree_map::Entry::Vacant(e) = prev.entry(n) {
-                    e.insert(cur);
-                    if n == to {
-                        let mut path = vec![to];
-                        let mut c = to;
-                        while c != from {
-                            c = prev[&c];
-                            path.push(c);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(n);
-                }
-            }
-        }
-        None
-    }
-
-    /// The internal interface on `from` facing the first hop toward `to`
-    /// (used for egress-reply behaviour).
-    pub fn internal_iface_toward(&self, from: RouterId, to: RouterId) -> Option<IfaceId> {
-        let path = self.internal_path(from, to)?;
-        let next = *path.get(1)?;
-        self.routers[from.0 as usize]
-            .ifaces
-            .iter()
-            .copied()
-            .find(|&i| {
-                let info = self.iface(i);
-                info.neighbor.is_some_and(|n| self.iface(n).router == next)
-            })
+        let mut path: Vec<RouterId> = self.plane.walk_back(from, to)?.map(|(r, _)| r).collect();
+        path.push(from);
+        path.reverse();
+        Some(path)
     }
 
     /// Fails the internal link between `a` and `b`: removes the adjacency so
@@ -421,14 +405,15 @@ impl RouterTopology {
         }
         self.internal_adj[a.0 as usize].retain(|&r| r != b);
         self.internal_adj[b.0 as usize].retain(|&r| r != a);
+        self.recompile(self.owner(a));
         true
     }
 
     /// Restores a previously failed internal link by re-adding the adjacency.
     /// Returns `false` when the adjacency already exists, the routers belong
     /// to different ASes, or they never shared a link (no interface pair to
-    /// re-enable). Adjacency-list order does not matter: `internal_path`
-    /// sorts neighbors at every step.
+    /// re-enable). Adjacency-list order does not matter: the table rebuild
+    /// visits neighbours in ascending id order.
     pub fn restore_internal_link(&mut self, a: RouterId, b: RouterId) -> bool {
         if a == b
             || self.internal_adj[a.0 as usize].contains(&b)
@@ -446,6 +431,7 @@ impl RouterTopology {
         }
         self.internal_adj[a.0 as usize].push(b);
         self.internal_adj[b.0 as usize].push(a);
+        self.recompile(self.owner(a));
         true
     }
 
@@ -494,6 +480,7 @@ impl RouterTopology {
             .get_mut(&owner)
             .expect("owner AS has a router list")
             .push(id);
+        self.recompile(owner);
         id
     }
 

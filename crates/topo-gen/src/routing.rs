@@ -20,10 +20,9 @@
 
 use as_rel::AsRelationships;
 use net_types::Asn;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// How an AS learned its best route toward a destination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -53,21 +52,31 @@ pub struct RouteEntry {
 pub type RouteTree = BTreeMap<Asn, RouteEntry>;
 
 /// The routing oracle: computes and caches per-destination route trees.
+///
+/// Every AS of the relationship graph owns one write-once tree slot, fixed
+/// at construction. A tree is computed on first use and immutable after, so
+/// readers share it without a lock.
 #[derive(Debug)]
 pub struct Routing {
     rels: AsRelationships,
     announce_via: BTreeMap<Asn, Vec<Asn>>,
-    cache: Mutex<BTreeMap<Asn, Arc<RouteTree>>>,
+    trees: BTreeMap<Asn, OnceLock<RouteTree>>,
 }
 
 impl Routing {
     /// Creates the oracle from ground-truth relationships and selective
     /// announcement restrictions.
     pub fn new(rels: AsRelationships, announce_via: BTreeMap<Asn, Vec<Asn>>) -> Self {
+        let trees = rels
+            .ases()
+            .into_iter()
+            .chain(announce_via.keys().copied())
+            .map(|a| (a, OnceLock::new()))
+            .collect();
         Routing {
             rels,
             announce_via,
-            cache: Mutex::new(BTreeMap::new()),
+            trees,
         }
     }
 
@@ -76,14 +85,12 @@ impl Routing {
         &self.rels
     }
 
-    /// The routing tree toward destination AS `dst` (cached).
-    pub fn tree(&self, dst: Asn) -> Arc<RouteTree> {
-        if let Some(t) = self.cache.lock().get(&dst) {
-            return Arc::clone(t);
-        }
-        let tree = Arc::new(self.compute_tree(dst));
-        self.cache.lock().insert(dst, Arc::clone(&tree));
-        tree
+    /// The routing tree toward destination AS `dst` (computed once, then
+    /// shared); `None` for an AS outside the relationship graph, which no
+    /// other AS can reach.
+    pub fn tree(&self, dst: Asn) -> Option<&RouteTree> {
+        let slot = self.trees.get(&dst)?;
+        Some(slot.get_or_init(|| self.compute_tree(dst)))
     }
 
     fn compute_tree(&self, dst: Asn) -> RouteTree {
@@ -173,24 +180,36 @@ impl Routing {
     /// The AS path from `src` to `dst` (inclusive), or `None` if `src` has
     /// no route.
     pub fn as_path(&self, src: Asn, dst: Asn) -> Option<Vec<Asn>> {
-        let tree = self.tree(dst);
         let mut path = vec![src];
-        let mut cur = src;
-        for _ in 0..64 {
-            if cur == dst {
-                return Some(path);
-            }
-            let entry = tree.get(&cur)?;
-            cur = entry.next;
-            path.push(cur);
-        }
-        None // routing loop guard; unreachable by construction
+        walk(self.tree(dst), src, dst, |_, next| path.push(next))?;
+        Some(path)
     }
 
-    /// Number of cached trees (for tests / diagnostics).
+    /// Number of computed trees (for tests / diagnostics).
     pub fn cached_trees(&self) -> usize {
-        self.cache.lock().len()
+        self.trees.values().filter(|t| t.get().is_some()).count()
     }
+}
+
+/// Walks `tree` (the route tree toward `dst`, if any) from `src`, calling
+/// `step(here, next)` for every AS-level hop. Returns `None` when `src` has
+/// no route; the visited prefix of the walk is then meaningless.
+pub(crate) fn walk(
+    tree: Option<&RouteTree>,
+    src: Asn,
+    dst: Asn,
+    mut step: impl FnMut(Asn, Asn),
+) -> Option<()> {
+    let mut cur = src;
+    for _ in 0..64 {
+        if cur == dst {
+            return Some(());
+        }
+        let next = tree?.get(&cur)?.next;
+        step(cur, next);
+        cur = next;
+    }
+    None // routing loop guard; unreachable by construction
 }
 
 #[cfg(test)]
@@ -266,7 +285,7 @@ mod tests {
         );
         // ...even though 3 is directly connected to 5, it holds no customer
         // route (5 withheld the announcement).
-        let tree = routing.tree(Asn(5));
+        let tree = routing.tree(Asn(5)).unwrap();
         assert_ne!(tree[&Asn(3)].class, RouteClass::Customer);
     }
 
@@ -274,9 +293,9 @@ mod tests {
     fn tree_caching() {
         let routing = Routing::new(rels(), BTreeMap::new());
         assert_eq!(routing.cached_trees(), 0);
-        let t1 = routing.tree(Asn(5));
-        let t2 = routing.tree(Asn(5));
-        assert!(Arc::ptr_eq(&t1, &t2));
+        let t1 = routing.tree(Asn(5)).unwrap();
+        let t2 = routing.tree(Asn(5)).unwrap();
+        assert!(std::ptr::eq(t1, t2));
         assert_eq!(routing.cached_trees(), 1);
     }
 
@@ -286,13 +305,14 @@ mod tests {
         // src == dst is trivially reachable.
         assert_eq!(routing.as_path(Asn(9), Asn(9)), Some(vec![Asn(9)]));
         assert_eq!(routing.as_path(Asn(8), Asn(9)), None);
+        assert!(routing.tree(Asn(9)).is_none());
     }
 
     #[test]
     fn dist_monotone_along_path() {
         let routing = Routing::new(rels(), BTreeMap::new());
-        let tree = routing.tree(Asn(5));
-        for (&asn, entry) in tree.iter() {
+        let tree = routing.tree(Asn(5)).unwrap();
+        for (&asn, entry) in tree {
             if asn == Asn(5) {
                 assert_eq!(entry.dist, 0);
                 continue;

@@ -22,8 +22,9 @@ use net_types::Asn;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use topo_gen::routers::LinkKind;
-use topo_gen::{ForwardOutcome, Internet, RouterId, Tier};
+use topo_gen::{ForwardOutcome, ForwardPath, Internet, RouterId, Tier};
 
 /// Probing campaign parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -127,6 +128,46 @@ pub fn destinations(net: &Internet, cfg: &ProbeConfig) -> Vec<u32> {
 
 /// Probes one destination from one VP.
 pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> Trace {
+    probe(net, vp, dst, cfg).0
+}
+
+/// Probes one destination from one VP, and also returns every AS the
+/// measurement depends on: the VP's AS, the destination's BGP origin, every
+/// AS the forwarding path traverses, and the AS the path terminates in.
+///
+/// The set comes from the *ground-truth* forward path, not the observed
+/// trace — silent routers hide traversed ASes from the trace, and the churn
+/// workload's dirty-pair test must be conservative: a pair may only be
+/// skipped after a topology event when **no** AS it depends on was touched.
+/// Interdomain routing changes are handled separately (they dirty every
+/// pair), so this set only needs to cover intra-AS events: internal link
+/// failures/recoveries change forwarding inside one traversed AS, and router
+/// additions shift the host-to-router mapping of the terminal AS — both
+/// covered here.
+pub fn trace_with_deps(
+    net: &Internet,
+    vp: RouterId,
+    dst: u32,
+    cfg: &ProbeConfig,
+) -> (Trace, BTreeSet<Asn>) {
+    let (trace, fwd) = probe(net, vp, dst, cfg);
+    let mut deps = BTreeSet::from([net.topology.owner(vp)]);
+    deps.extend(net.bgp_origin(dst));
+    deps.extend(fwd.hops.iter().map(|h| net.topology.owner(h.router)));
+    match fwd.outcome {
+        ForwardOutcome::ReachedHostSpace { asn } => {
+            deps.insert(asn);
+        }
+        ForwardOutcome::ReachedIface(i) => {
+            deps.insert(net.topology.owner(net.topology.iface(i).router));
+        }
+        ForwardOutcome::NoRoute => {}
+    }
+    (trace, deps)
+}
+
+/// One probe: the trace and the forward path it was simulated on.
+fn probe(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> (Trace, ForwardPath) {
     // Per-probe RNG: deterministic in (seed, vp, dst) regardless of order.
     let mut rng = ChaCha8Rng::seed_from_u64(
         cfg.seed ^ (vp.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dst as u64),
@@ -138,14 +179,16 @@ pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> T
 
     let fwd = net.forward_path(vp, dst);
     if fwd.outcome == ForwardOutcome::NoRoute {
-        return Trace {
+        let trace = Trace {
             monitor,
             src,
             dst,
             hops: vec![],
             stop: StopReason::NoRoute,
         };
+        return (trace, fwd);
     }
+    let back = net.return_route(vp_as);
 
     let mut hops: Vec<Option<Hop>> = Vec::with_capacity(fwd.hops.len() + 2);
     let mut firewalled_from: Option<usize> = None;
@@ -188,7 +231,7 @@ pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> T
                 continue;
             }
         }
-        let addr = net.reply_source(h.router, h.ingress, vp_as);
+        let addr = net.reply_source(h.router, h.ingress, back);
         hops.push(Some(Hop {
             addr,
             reply: ReplyType::TimeExceeded,
@@ -250,13 +293,14 @@ pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> T
         }
     }
 
-    Trace {
+    let trace = Trace {
         monitor,
         src,
         dst,
         hops,
         stop,
-    }
+    };
+    (trace, fwd)
 }
 
 /// bdrmap's reactive data-collection component (paper §2): a single VP
@@ -442,12 +486,13 @@ pub fn probe_campaign_in_pool(
 }
 
 /// Probes an explicit list of `(vp, dst)` pairs on the given pool, returning
-/// one trace per pair **in pair order, unfiltered** (unresponsive traces
-/// included so the result stays index-aligned with `pairs`).
+/// one [`trace_with_deps`] result per pair **in pair order, unfiltered**
+/// (unresponsive traces included so the result stays index-aligned with
+/// `pairs`).
 ///
 /// This is the churn workload's delta campaign: after a topology event, only
-/// the pairs whose paths traverse a touched AS (see [`traversed_ases`]) are
-/// re-probed, and the caller splices the fresh traces over its cached corpus.
+/// the pairs whose paths traverse a touched AS are re-probed, and the caller
+/// splices the fresh traces (and their dependency sets) over its cache.
 /// Determinism matches the full campaign's: every trace is a pure function
 /// of `(campaign seed, vp, dst)`, and chunks concatenate in index order.
 pub fn probe_pairs_in_pool(
@@ -455,7 +500,7 @@ pub fn probe_pairs_in_pool(
     pairs: &[(RouterId, u32)],
     cfg: &ProbeConfig,
     wp: &pool::WorkerPool,
-) -> Vec<Trace> {
+) -> Vec<(Trace, BTreeSet<Asn>)> {
     let jobs = pairs.len();
     if jobs == 0 {
         return Vec::new();
@@ -466,43 +511,10 @@ pub fn probe_pairs_in_pool(
         let (lo, hi) = (t * batch, ((t + 1) * batch).min(jobs));
         pairs[lo..hi]
             .iter()
-            .map(|&(vp, dst)| trace_one(net, vp, dst, cfg))
-            .collect::<Vec<Trace>>()
+            .map(|&(vp, dst)| trace_with_deps(net, vp, dst, cfg))
+            .collect::<Vec<_>>()
     });
     shards.into_iter().flatten().collect()
-}
-
-/// Every AS whose state can influence the `(vp, dst)` measurement: the VP's
-/// AS, the destination's BGP origin, every AS the forwarding path traverses,
-/// and the AS the path terminates in.
-///
-/// Computed from the *ground-truth* forward path, not the observed trace —
-/// silent routers hide traversed ASes from the trace, and the dirty-pair
-/// test must be conservative: a pair may only be skipped after a topology
-/// event when **no** AS it depends on was touched. Interdomain routing
-/// changes are handled separately (they dirty every pair), so this set only
-/// needs to cover intra-AS events: internal link failures/recoveries change
-/// forwarding inside one traversed AS, and router additions shift the
-/// host-to-router mapping of the terminal AS — both covered here.
-pub fn traversed_ases(net: &Internet, vp: RouterId, dst: u32) -> std::collections::BTreeSet<Asn> {
-    let mut out = std::collections::BTreeSet::from([net.topology.owner(vp)]);
-    if let Some(origin) = net.bgp_origin(dst) {
-        out.insert(origin);
-    }
-    let fwd = net.forward_path(vp, dst);
-    for h in &fwd.hops {
-        out.insert(net.topology.owner(h.router));
-    }
-    match fwd.outcome {
-        ForwardOutcome::ReachedHostSpace { asn } => {
-            out.insert(asn);
-        }
-        ForwardOutcome::ReachedIface(i) => {
-            out.insert(net.topology.owner(net.topology.iface(i).router));
-        }
-        ForwardOutcome::NoRoute => {}
-    }
-    out
 }
 
 /// Which /24-equivalent interface kinds a trace traversed — handy campaign
@@ -800,9 +812,10 @@ mod tests {
         let wp = pool::WorkerPool::new(2);
         let traces = probe_pairs_in_pool(&net, &pairs, &cfg, &wp);
         assert_eq!(traces.len(), pairs.len(), "unfiltered: one trace per pair");
-        for (&(vp, dst), t) in pairs.iter().zip(&traces) {
+        for (&(vp, dst), (t, deps)) in pairs.iter().zip(&traces) {
             assert_eq!(*t, trace_one(&net, vp, dst, &cfg));
             assert_eq!(t.dst, dst);
+            assert!(deps.contains(&net.topology.owner(vp)));
         }
     }
 
@@ -843,9 +856,9 @@ mod tests {
         ];
         let mut checked = 0usize;
         for ev in &events {
-            let before: Vec<(Trace, std::collections::BTreeSet<Asn>)> = pairs
+            let before: Vec<(Trace, BTreeSet<Asn>)> = pairs
                 .iter()
-                .map(|&(vp, d)| (trace_one(&net, vp, d, &cfg), traversed_ases(&net, vp, d)))
+                .map(|&(vp, d)| trace_with_deps(&net, vp, d, &cfg))
                 .collect();
             let out = net.apply_event(ev);
             assert!(out.applied && !out.rib_changed, "{}", ev.describe());
