@@ -42,11 +42,13 @@ fn bench_phases(c: &mut Criterion) {
             state
         });
     });
+    let wp = pool::WorkerPool::new(cfg.threads);
+    let rec = obs::Recorder::disabled();
     g.bench_function("phase3_refinement", |b| {
         b.iter(|| {
             let mut state = AnnotationState::new(&graph);
             bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut state);
-            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state);
+            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state, &wp, &rec);
             state
         });
     });
@@ -55,9 +57,9 @@ fn bench_phases(c: &mut Criterion) {
 
 /// Serial vs. parallel refinement on one prebuilt graph: the state after
 /// phase 2 is cloned into every timing iteration, so the numbers isolate
-/// `refine` itself. The 4-thread point is the acceptance gauge for the
-/// sharded engine (≥1.5× over serial on a 4-core runner); results are
-/// bit-identical across the sweep, so this measures pure scheduling.
+/// `refine` itself. The 4-thread point gauges the lockstep wavefront
+/// sweep against serial on a 4-core runner; results are bit-identical
+/// across the sweep, so this measures pure scheduling.
 fn bench_refine_threads(c: &mut Criterion) {
     let fx = bench::Fixture::standard();
     let s = &fx.scenario;
@@ -74,16 +76,14 @@ fn bench_refine_threads(c: &mut Criterion) {
     let mut annotated = AnnotationState::new(&graph);
     bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut annotated);
 
+    let rec = obs::Recorder::disabled();
     let mut g = c.benchmark_group("phase3_refine");
     for threads in [1usize, 2, 4] {
-        let cfg = Config {
-            threads,
-            ..Config::default()
-        };
-        g.bench_with_input(BenchmarkId::new("threads", threads), &cfg, |b, cfg| {
+        let wp = pool::WorkerPool::new(threads);
+        g.bench_with_input(BenchmarkId::new("threads", threads), &wp, |b, wp| {
             b.iter(|| {
                 let mut state = annotated.clone();
-                bdrmapit_core::refine::refine(&graph, &s.rels, &cones, cfg, &mut state);
+                bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &base, &mut state, wp, &rec);
                 state
             });
         });

@@ -19,8 +19,9 @@
 //! - every thread run dispatches campaign, graph build, and refinement on
 //!   ONE shared worker pool, and reports that pool's cumulative scheduling
 //!   stats (tasks, steals, batches, busy time)
-//! - an `end_to_end` speedup series (sum of all timed phases) joins the
-//!   per-phase ones, and the top-level `crossover` records the first swept
+//! - an `end_to_end` speedup series (one wall clock around campaign and
+//!   inference) joins the per-phase ones, and the top-level `crossover`
+//!   records the first swept
 //!   scale where end-to-end speedup at 2 threads exceeds 1.0
 //! - scales and thread counts are selectable from the command line, and
 //!   `--contract T:MIN` turns a minimum end-to-end speedup into an exit
@@ -39,6 +40,7 @@ use bdrmapit_core::{Annotated, Config};
 use eval::experiments::run_bdrmapit;
 use eval::Scenario;
 use obs::names;
+use obs::Clock as _;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -56,8 +58,8 @@ const SWEPT_PHASES: [&str; 3] = [
     names::PHASE_REFINE,
 ];
 const FRONT_END_COMBINED: &str = "front_end_combined";
-/// Sum of every timed phase (campaign through refinement; generation is
-/// outside the timed region by construction).
+/// One wall clock around the whole timed run (campaign through refinement;
+/// generation is outside the timed region by construction).
 const END_TO_END: &str = "end_to_end";
 /// The phases every per-run report must cover. `topo.generate` is absent
 /// by design (hoisted out of the sweep), so `RunReport::validate` — which
@@ -118,7 +120,8 @@ struct ScaleDoc {
 struct RunDoc {
     threads: usize,
     output_hash: String,
-    /// Sum of every timed phase's wall time.
+    /// Wall time of the whole run (campaign through refinement), read
+    /// once around it — nested spans are never summed.
     end_to_end_ms: f64,
     phase_wall_ms: BTreeMap<String, f64>,
     /// Cumulative scheduling stats of the run's shared worker pool.
@@ -141,7 +144,7 @@ struct OutputDoc<'a> {
     routers: Vec<(u32, net_types::Asn)>,
     links: Vec<bdrmapit_core::InferredLink>,
     ifaces: &'a [net_types::Asn],
-    convergence: &'a [Vec<u64>],
+    convergence: &'a [u64],
     counters: &'a BTreeMap<String, u64>,
     histograms: &'a BTreeMap<String, obs::HistogramSummary>,
 }
@@ -156,7 +159,7 @@ fn output_hash(result: &Annotated, report: &obs::RunReport) -> u64 {
         routers: result.router_annotations(),
         links: result.interdomain_links(),
         ifaces: &result.state.iface,
-        convergence: &result.state.convergence_traces,
+        convergence: &result.state.convergence_trace,
         counters: &report.counters,
         histograms: &report.histograms,
     };
@@ -188,24 +191,28 @@ fn scale_config(name: &str) -> Option<(GeneratorConfig, usize)> {
 
 /// One instrumented pipeline run on a pre-built scenario: installs a fresh
 /// recorder and a shared `threads`-sized worker pool, then runs campaign →
-/// alias → graph → lasthop → refine. Topology generation happened once,
-/// before any run; only pipeline phases land in this run's report.
+/// alias → graph → lasthop → refine under one wall clock (the returned
+/// milliseconds). Topology generation happened once, before any run; only
+/// pipeline phases land in this run's report.
 fn run_once(
     scenario: &mut Scenario,
     vps: usize,
     threads: usize,
-) -> (Annotated, obs::RunReport, PoolDoc) {
+) -> (Annotated, obs::RunReport, PoolDoc, f64) {
     let rec = obs::Recorder::new(false);
     let wp = Arc::new(pool::WorkerPool::with_recorder(threads, rec.clone()));
     scenario.obs = rec.clone();
     scenario.threads = threads;
     scenario.pool = Some(Arc::clone(&wp));
-    let bundle = scenario.campaign(vps, true, SEED);
     let cfg = Config {
         threads,
         ..Config::default()
     };
+    let clock = obs::MonotonicClock::new();
+    let start = clock.now_nanos();
+    let bundle = scenario.campaign(vps, true, SEED);
     let result = run_bdrmapit(scenario, &bundle, cfg);
+    let end_to_end_ms = clock.now_nanos().saturating_sub(start) as f64 / 1e6;
     let stats = wp.stats();
     let pool_doc = PoolDoc {
         tasks: stats.tasks,
@@ -213,7 +220,7 @@ fn run_once(
         batches: stats.batches,
         busy_ms: stats.busy_nanos as f64 / 1e6,
     };
-    (result, rec.report(), pool_doc)
+    (result, rec.report(), pool_doc, end_to_end_ms)
 }
 
 /// The sweep's own report validation (see [`RUN_PHASES`]).
@@ -246,7 +253,7 @@ fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String>
     let mut runs = Vec::new();
     let mut baseline: Option<(Annotated, obs::RunReport)> = None;
     for &threads in threads_swept {
-        let (result, report, pool_doc) = run_once(&mut scenario, vps, threads);
+        let (result, report, pool_doc, end_to_end_ms) = run_once(&mut scenario, vps, threads);
         validate_run(&report)
             .map_err(|e| format!("{scale} threads={threads}: incomplete run report: {e}"))?;
         let phase_wall_ms: BTreeMap<String, f64> = report
@@ -257,7 +264,7 @@ fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String>
         runs.push(RunDoc {
             threads,
             output_hash: format!("{:#018x}", output_hash(&result, &report)),
-            end_to_end_ms: phase_wall_ms.values().sum(),
+            end_to_end_ms,
             phase_wall_ms,
             pool: pool_doc,
         });
@@ -271,7 +278,7 @@ fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String>
     let hashes_consistent = runs.iter().all(|r| r.output_hash == serial_hash);
 
     // Speedup = serial wall time over parallel wall time, per swept phase
-    // plus the combined front-end and the all-phases end-to-end series.
+    // plus the combined front-end and the whole-run end-to-end series.
     let wall = |run: &RunDoc, phase: &str| run.phase_wall_ms.get(phase).copied().unwrap_or(0.0);
     let front_end =
         |run: &RunDoc| wall(run, names::PHASE_TRACEROUTE) + wall(run, names::PHASE_GRAPH);

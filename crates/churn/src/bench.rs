@@ -1,4 +1,4 @@
-//! Churn artifacts: the `bdrmapit.bench-churn/v1` cost benchmark, the
+//! Churn artifacts: the `bdrmapit.bench-churn/v2` cost benchmark, the
 //! `bdrmapit.churn-report/v1` per-epoch report bundle, and the report-delta
 //! arithmetic that carves per-epoch [`RunReport`]s out of one cumulative
 //! recorder.
@@ -9,20 +9,18 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Schema identifier of the churn cost benchmark artifact.
-pub const BENCH_SCHEMA: &str = "bdrmapit.bench-churn/v1";
+pub const BENCH_SCHEMA: &str = "bdrmapit.bench-churn/v2";
 /// Schema identifier of the per-epoch report bundle.
 pub const REPORT_SCHEMA: &str = "bdrmapit.churn-report/v1";
 
 /// What one epoch cost on one path (incremental or full recompute). The
-/// deterministic `work` unit is `probes + shards`: probes executed plus
-/// refinement shards converged — the two quantities churn actually scales.
+/// deterministic `work` unit is `probes`: traceroute probes executed, the
+/// quantity churn actually scales (both paths run the same inference).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EpochCost {
     /// Traceroute probes executed (`(vp, dst)` pairs measured).
     pub probes: u64,
-    /// Refinement shards converged from scratch.
-    pub shards: u64,
-    /// Deterministic cost: `probes + shards`.
+    /// Deterministic cost: `probes`.
     pub work: u64,
     /// Wall time of the path, milliseconds (informational; varies by
     /// machine and thread count).
@@ -31,11 +29,10 @@ pub struct EpochCost {
 
 impl EpochCost {
     /// Assembles a cost record; `work` is derived.
-    pub fn new(probes: u64, shards: u64, wall_ms: f64) -> EpochCost {
+    pub fn new(probes: u64, wall_ms: f64) -> EpochCost {
         EpochCost {
             probes,
-            shards,
-            work: probes + shards,
+            work: probes,
             wall_ms,
         }
     }
@@ -58,10 +55,6 @@ pub struct BenchEpoch {
     pub dirty_pairs: usize,
     /// Total pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Refinement shards re-converged.
-    pub dirty_shards: usize,
-    /// Total shards in the epoch's plan.
-    pub total_shards: usize,
     /// Incremental-path cost.
     pub incremental: EpochCost,
     /// Full-recompute cost.
@@ -72,7 +65,7 @@ pub struct BenchEpoch {
     pub identical: bool,
 }
 
-/// The `bdrmapit.bench-churn/v1` artifact: per-epoch incremental-vs-full
+/// The `bdrmapit.bench-churn/v2` artifact: per-epoch incremental-vs-full
 /// cost for one churn run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchChurn {
@@ -106,8 +99,6 @@ impl BenchChurn {
                 rib_changed: e.rib_changed,
                 dirty_pairs: e.dirty_pairs,
                 total_pairs: e.total_pairs,
-                dirty_shards: e.dirty_shards,
-                total_shards: e.total_shards,
                 incremental: e.incremental,
                 full: e.full,
                 identical: true,
@@ -283,6 +274,9 @@ mod tests {
     use super::*;
     use obs::{names, MockClock, Recorder};
 
+    /// A throwaway histogram name (no registered histogram exists).
+    const HIST: &str = "test.hist";
+
     #[test]
     fn report_delta_subtracts_every_section() {
         let clock = MockClock::new();
@@ -293,8 +287,8 @@ mod tests {
         }
         rec.add(names::REFINE_ITERATIONS, 3);
         rec.add_exec(names::EXEC_CACHE_HITS, 5);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
+        rec.record(HIST, 2);
+        rec.record(HIST, 2);
         let before = rec.report();
 
         {
@@ -302,8 +296,8 @@ mod tests {
             clock.advance(2_000_000);
         }
         rec.add(names::REFINE_ITERATIONS, 4);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.record(names::HIST_SHARD_ITERATIONS, 7);
+        rec.record(HIST, 2);
+        rec.record(HIST, 7);
         let after = rec.report();
 
         let delta = report_delta(&before, &after);
@@ -315,7 +309,7 @@ mod tests {
         let p = &delta.phases[names::PHASE_REFINE];
         assert_eq!(p.count, 1);
         assert!((p.wall_ms - 2.0).abs() < 1e-9, "{}", p.wall_ms);
-        let h = &delta.histograms[names::HIST_SHARD_ITERATIONS];
+        let h = &delta.histograms[HIST];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 9);
         assert_eq!(h.min, 2);
@@ -351,8 +345,8 @@ mod tests {
 
     #[test]
     fn gate_rejects_costlier_incremental_epochs() {
-        let cheap = EpochCost::new(10, 2, 1.0);
-        let dear = EpochCost::new(100, 20, 2.0);
+        let cheap = EpochCost::new(10, 1.0);
+        let dear = EpochCost::new(100, 2.0);
         let row = |epoch: usize, inc: EpochCost, rib: bool| BenchEpoch {
             epoch,
             events: Vec::new(),
@@ -361,8 +355,6 @@ mod tests {
             rib_changed: rib,
             dirty_pairs: 1,
             total_pairs: 100,
-            dirty_shards: 1,
-            total_shards: 20,
             incremental: inc,
             full: dear,
             identical: true,

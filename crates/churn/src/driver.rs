@@ -1,38 +1,31 @@
 //! The churn driver: steps a schedule epoch by epoch, re-probing only the
-//! dirty `(vp, dst)` pairs and re-converging only the dirty refinement
-//! shards, and proves every epoch's output byte-identical to a full
-//! recompute.
+//! dirty `(vp, dst)` pairs, and proves every epoch's output byte-identical
+//! to a full recompute.
 //!
 //! # Incremental machinery
 //!
-//! Two caches persist across epochs:
-//!
-//! * the **pair cache** maps each `(vp, dst)` pair to its last trace and
-//!   the set of ASes that measurement depends on, both from one probe
-//!   ([`traceroute::sim::trace_with_deps`]). After an epoch's events, a
-//!   pair is *dirty* — re-probed — iff interdomain routing changed, the
-//!   pair is new to the probe matrix, or its AS set intersects the events'
-//!   touched set; everything else replays its cached trace verbatim (the
-//!   traceroute crate's untouched-pairs contract test backs this).
-//! * the **shard cache** ([`ShardCache`]) replays converged refinement
-//!   outcomes for shards whose fingerprint is unchanged; see
-//!   [`refine_incremental`].
+//! The **pair cache** persists across epochs. It maps each `(vp, dst)`
+//! pair to its last trace and the set of ASes that measurement depends on,
+//! both from one probe ([`traceroute::sim::trace_with_deps`]). After an
+//! epoch's events, a pair is *dirty* — re-probed — iff interdomain routing
+//! changed, the pair is new to the probe matrix, or its AS set intersects
+//! the events' touched set; everything else replays its cached trace
+//! verbatim (the traceroute crate's untouched-pairs contract test backs
+//! this). The spliced corpus then goes through an ordinary
+//! [`Bdrmapit::run`] on the session pool and recorder.
 //!
 //! # Verification
 //!
 //! Every epoch the driver *also* runs the naive path — full campaign, full
 //! [`Bdrmapit::run`] — freezes both results into `bdrmapit.snapshot/v1`
 //! bytes, and aborts unless they are identical. The per-epoch cost gap
-//! (probes + shards converged) is what `bdrmapit.bench-churn/v1` reports.
+//! (probes executed) is what `bdrmapit.bench-churn/v2` reports.
 
 use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
 use alias::{observed_addresses, resolve_midar, resolve_midar_with_obs};
 use as_rel::infer::{infer_relationships, InferenceConfig};
-use as_rel::CustomerCones;
-use bdrmapit_core::refine::{refine_incremental, ShardCache};
-use bdrmapit_core::Bdrmapit;
-use bdrmapit_core::{lasthop, Annotated, AnnotationState, Config, IrGraph};
+use bdrmapit_core::{Bdrmapit, Config};
 use bgp::IpToAs;
 use net_types::Asn;
 use obs::names;
@@ -98,10 +91,6 @@ pub struct EpochOutcome {
     pub dirty_pairs: usize,
     /// Pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Shards re-converged.
-    pub dirty_shards: usize,
-    /// Shards in the epoch's plan.
-    pub total_shards: usize,
     /// Incremental-path cost.
     pub incremental: EpochCost,
     /// Full-recompute cost.
@@ -160,10 +149,8 @@ pub fn run_churn(
     let mut rib = net.build_rib();
     let mut ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let mut rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-    let mut cones = CustomerCones::compute(&rels);
 
     let mut pair_cache: BTreeMap<(usize, u32), PairInfo> = BTreeMap::new();
-    let mut shard_cache = ShardCache::new();
     let mut epochs_out = Vec::with_capacity(opts.epochs + 1);
     let mut report_mark = rec.report();
 
@@ -197,7 +184,6 @@ pub fn run_churn(
             rib = net.build_rib();
             ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
             rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-            cones = CustomerCones::compute(&rels);
         }
 
         // 2. The epoch's probe matrix and its dirty subset. Destinations are
@@ -253,41 +239,19 @@ pub fn run_churn(
         let observed = observed_addresses(&corpus);
         let aliases = resolve_midar_with_obs(&net, &observed, 0.9, opts.seed, rec);
 
-        // 6. Incremental inference: rebuild the graph, freeze last hops,
-        // then re-converge only the dirty shards.
-        let graph = {
-            let _span = rec.span(names::PHASE_GRAPH);
-            IrGraph::build_in_pool(&corpus, &aliases, &ip2as, &cfg, &rels, &cones, &wp, rec)
+        // 6. Inference over the spliced corpus, recorded on the session
+        // pool and recorder. Only the snapshot bytes outlive the block.
+        let snap_inc = {
+            let annotated = Bdrmapit::new(cfg.clone())
+                .with_obs(rec.clone())
+                .with_pool(wp.clone())
+                .run(&corpus, &aliases, &ip2as, &rels);
+            snapshot::to_bytes(&SnapshotData::from_annotated(
+                &annotated,
+                &rib.origin_table(),
+            ))
         };
-        let mut state = AnnotationState::new(&graph);
-        if cfg.enable_last_hop {
-            let _span = rec.span(names::PHASE_LASTHOP);
-            lasthop::annotate_last_hops(&graph, &rels, &cones, &mut state);
-        }
-        let stats = {
-            let _span = rec.span(names::PHASE_REFINE);
-            refine_incremental(
-                &graph,
-                &rels,
-                &cones,
-                &cfg,
-                &mut state,
-                &wp,
-                rec,
-                &mut shard_cache,
-            )
-        };
-        let total_shards = graph.shards.shards.len();
-        let annotated = Annotated { graph, state };
-        let snap_inc = snapshot::to_bytes(&SnapshotData::from_annotated(
-            &annotated,
-            &rib.origin_table(),
-        ));
-        let incremental = EpochCost::new(
-            dirty.len() as u64,
-            stats.dirty_shards as u64,
-            elapsed_ms(&clock, inc_start),
-        );
+        let incremental = EpochCost::new(dirty.len() as u64, elapsed_ms(&clock, inc_start));
         drop(epoch_span);
 
         // 7. The naive path, for cost comparison and byte-level proof.
@@ -315,11 +279,7 @@ pub fn run_churn(
             &full_result,
             &rib.origin_table(),
         ));
-        let full = EpochCost::new(
-            pairs.len() as u64,
-            full_result.graph.shards.shards.len() as u64,
-            elapsed_ms(&clock, full_start),
-        );
+        let full = EpochCost::new(pairs.len() as u64, elapsed_ms(&clock, full_start));
         if snap_full != snap_inc {
             return Err(format!(
                 "epoch {epoch}: incremental snapshot is not byte-identical to the \
@@ -338,8 +298,6 @@ pub fn run_churn(
             rib_changed,
             dirty_pairs: dirty.len(),
             total_pairs: pairs.len(),
-            dirty_shards: stats.dirty_shards,
-            total_shards,
             incremental,
             full,
             snapshot: snap_inc,
@@ -373,7 +331,6 @@ mod tests {
         assert_eq!(run.epochs.len(), 1);
         let e = &run.epochs[0];
         assert_eq!(e.dirty_pairs, e.total_pairs, "cold start probes everything");
-        assert_eq!(e.dirty_shards, e.total_shards);
         assert_eq!(e.incremental.work, e.full.work);
         assert!(!e.snapshot.is_empty());
     }

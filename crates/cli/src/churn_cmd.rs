@@ -1,6 +1,6 @@
 //! The `pipeline --churn` front end: runs the churn loop, writes one
 //! snapshot per epoch plus the per-epoch report bundle and (optionally) the
-//! `bdrmapit.bench-churn/v1` cost artifact, and renders a per-epoch summary.
+//! `bdrmapit.bench-churn/v2` cost artifact, and renders a per-epoch summary.
 
 use crate::{Cli, CliError};
 use churn::{BenchChurn, ChurnOptions, ChurnReport};
@@ -47,13 +47,13 @@ pub fn churn_pipeline(
         if e.epoch == 0 {
             let _ = writeln!(
                 out,
-                "  epoch 0 (baseline): {} pairs probed, {} shards converged, work {}",
-                e.total_pairs, e.total_shards, e.incremental.work
+                "  epoch 0 (baseline): {} pairs probed, work {}",
+                e.total_pairs, e.incremental.work
             );
         } else {
             let _ = writeln!(
                 out,
-                "  epoch {}: {} events ({} applied{}), pairs {}/{}, shards {}/{}, \
+                "  epoch {}: {} events ({} applied{}), pairs {}/{}, \
                  work {} vs full {}, identical",
                 e.epoch,
                 e.events.len(),
@@ -61,8 +61,6 @@ pub fn churn_pipeline(
                 if e.rib_changed { ", rib rebuilt" } else { "" },
                 e.dirty_pairs,
                 e.total_pairs,
-                e.dirty_shards,
-                e.total_shards,
                 e.incremental.work,
                 e.full.work
             );

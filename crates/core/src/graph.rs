@@ -27,7 +27,6 @@
 //!    with private [`RelQueryCache`]s (hit/miss tallies merged in worker
 //!    order), and results are written back in IR order.
 
-use crate::refine::shard::ShardPlan;
 use crate::Config;
 use alias::AliasSets;
 use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
@@ -110,9 +109,6 @@ pub struct IrGraph {
     /// `i`-th smallest observed address, so the interner's dense ids *are*
     /// the `IfIdx` values.
     pub interner: AddrInterner,
-    /// Annotation-dependency shards (link-connected components) with their
-    /// wavefront levels, precomputed for the refinement engine.
-    pub shards: ShardPlan,
 }
 
 /// One link-relevant observation from a single adjacent-hop pair, in
@@ -453,11 +449,6 @@ impl IrGraph {
             ir.origins = origins;
             ir.dests = dests;
         }
-        drop(span);
-
-        // ---- refinement shard plan (link-connected components, §6.3) ----
-        let span = rec.span(obs::names::PHASE1_SHARD_PLAN);
-        g.shards = ShardPlan::compute(&g.irs, &g.iface_ir);
         drop(span);
 
         g

@@ -75,9 +75,10 @@ pub struct Config {
     /// repeated state; this bounds pathological inputs).
     pub max_iterations: usize,
     /// Worker threads for the phase-1 graph build and the phase-3
-    /// refinement engine. `0` (the default) means all available
-    /// parallelism; `1` forces the serial paths. Results are bit-identical
-    /// for every value (see [`graph`] and `refine::parallel`).
+    /// refinement loop (which uses at most as many as its widest wavefront
+    /// level). `0` (the default) means all available parallelism; `1`
+    /// forces serial execution. Results are bit-identical for every value
+    /// (see [`graph`] and `refine::parallel`).
     pub threads: usize,
 }
 
@@ -181,7 +182,7 @@ impl Bdrmapit {
         }
         {
             let _span = self.obs.span(names::PHASE_REFINE);
-            refine::refine_in_pool(&graph, rels, &cones, &self.cfg, &mut state, &wp, &self.obs);
+            refine::refine(&graph, rels, &cones, &self.cfg, &mut state, &wp, &self.obs);
         }
         Annotated { graph, state }
     }
@@ -198,12 +199,11 @@ pub struct AnnotationState {
     pub iface: Vec<Asn>,
     /// Refinement iterations executed.
     pub iterations: usize,
-    /// Per-shard convergence hash traces, indexed by the shard's position in
-    /// the [`ShardPlan`](refine::shard::ShardPlan): `[h_0, h_1, ..., h_n]`,
-    /// the shard-state hash before refinement and after each iteration.
-    /// Part of the determinism contract — serial and parallel runs must
-    /// produce identical traces, not merely identical fixpoints.
-    pub convergence_traces: Vec<Vec<u64>>,
+    /// The convergence hash trace `[h_0, h_1, ..., h_n]`: the global state
+    /// hash before refinement and after each iteration. Part of the
+    /// determinism contract — serial and parallel runs must produce
+    /// identical traces, not merely identical fixpoints.
+    pub convergence_trace: Vec<u64>,
 }
 
 impl AnnotationState {
@@ -215,7 +215,7 @@ impl AnnotationState {
             frozen: vec![false; graph.irs.len()],
             iface: graph.iface_origin.iter().map(|o| o.asn).collect(),
             iterations: 0,
-            convergence_traces: Vec::new(),
+            convergence_trace: Vec::new(),
         }
     }
 }

@@ -4,19 +4,16 @@
 //! The paper stops at a *repeated* state rather than an unchanged one —
 //! annotation dynamics can enter short cycles (Fig. 14 shows a two-step
 //! correction) — so every post-iteration state is hashed and the loop exits
-//! on the first recurrence, with a configurable iteration cap as a backstop.
-//! Convergence is detected per [`shard`](crate::refine::shard): shards share
-//! no annotation state, so each component stops at its own first repeated
-//! state, and `state.iterations` reports the maximum across shards.
+//! on the first recurrence of the global state, with a configurable
+//! iteration cap as a backstop.
 //!
-//! Depending on [`Config::threads`] the shards are converged on the calling
-//! thread or by the [`parallel`](crate::refine::parallel) engine; the two
-//! paths execute the identical per-shard routine and produce bit-identical
-//! annotations.
+//! The sweeps run on a crew broadcast from the worker pool, one wavefront
+//! level at a time ([`parallel`](crate::refine::parallel)); every crew size
+//! executes the identical routine and produces bit-identical annotations.
 
 use crate::graph::IrGraph;
-use crate::refine::parallel::{self, SweepCells, SweepCtx, LOCKSTEP_MIN_MID_PATH};
-use crate::refine::shard::ShardPlan;
+use crate::refine::levels::wavefront_levels;
+use crate::refine::parallel::{self, SpinBarrier, SweepCells, SweepCtx, LOCKSTEP_MIN_MID_PATH};
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones};
 
@@ -30,15 +27,15 @@ pub const CONVERGENCE_HASH_SEED: u64 = 0xbd12_a917_2018_0603;
 /// `std::collections::hash_map::DefaultHasher` — specified, so hashes never
 /// change under a different standard library.
 #[derive(Clone, Copy, Debug)]
-pub struct ShardHasher(u64);
+pub struct StateHasher(u64);
 
-impl ShardHasher {
+impl StateHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// Starts a hash folding `seed` into the FNV offset basis.
-    pub fn new(seed: u64) -> ShardHasher {
-        let mut h = ShardHasher(Self::OFFSET);
+    pub fn new(seed: u64) -> StateHasher {
+        let mut h = StateHasher(Self::OFFSET);
         h.write_u64(seed);
         h
     }
@@ -63,39 +60,14 @@ impl ShardHasher {
     }
 }
 
-/// Runs phase 3 to completion.
+/// Runs phase 3 to completion on `wp`, reporting convergence telemetry
+/// through `rec`. The worker budget comes from the pool ([`Config::threads`]
+/// only feeds a pool's construction), then shrinks to what the wavefront
+/// levels can occupy. Telemetry is write-only: every annotation, iteration
+/// count, and convergence trace is bit-identical for every pool size and
+/// whether `rec` is enabled, disabled, or shared with other phases — the
+/// determinism suite checks this at thread counts 1/2/8.
 pub fn refine(
-    graph: &IrGraph,
-    rels: &AsRelationships,
-    cones: &CustomerCones,
-    cfg: &Config,
-    state: &mut AnnotationState,
-) {
-    refine_with_obs(graph, rels, cones, cfg, state, &obs::Recorder::disabled());
-}
-
-/// Runs phase 3 to completion, reporting convergence telemetry through
-/// `rec`. Telemetry is write-only: every annotation, iteration count, and
-/// convergence trace is bit-identical whether `rec` is enabled, disabled,
-/// or shared with other phases — the determinism suite checks this at
-/// thread counts 1/2/8.
-pub fn refine_with_obs(
-    graph: &IrGraph,
-    rels: &AsRelationships,
-    cones: &CustomerCones,
-    cfg: &Config,
-    state: &mut AnnotationState,
-    rec: &obs::Recorder,
-) {
-    let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
-    refine_in_pool(graph, rels, cones, cfg, state, &wp, rec);
-}
-
-/// [`refine_with_obs`] on a caller-provided worker pool — the entry the
-/// pipeline uses so all phases share one pool. The worker budget comes from
-/// the pool ([`Config::threads`] only feeds the pool's construction), then
-/// shrinks to what the shard plan can actually occupy.
-pub fn refine_in_pool(
     graph: &IrGraph,
     rels: &AsRelationships,
     cones: &CustomerCones,
@@ -106,43 +78,45 @@ pub fn refine_in_pool(
 ) {
     use obs::names;
 
-    let plan = &graph.shards;
+    let levels = wavefront_levels(&graph.irs, &graph.iface_ir);
     let cells = SweepCells::new(state);
-    let threads = effective_threads(wp.workers(), plan);
+    let crew = crew_size(wp.workers(), &levels);
+    let barrier = SpinBarrier::new(crew);
     let tracer = rec.tracer();
-    let (iterations, traces, mut sheet) = if threads <= 1 {
+    // One unstealable crew slot per lockstep participant; a crew of one
+    // runs inline on the calling thread.
+    let runs = wp.broadcast(names::EXEC_POOL_BUSY_REFINE, crew, |w| {
         let mut ctx = SweepCtx::new(graph, cfg, rels, cones);
-        ctx.tracer = tracer.worker(names::TRACK_REFINE_WORKER, 0);
-        let mut iterations = 0;
-        let mut traces = Vec::with_capacity(plan.shards.len());
-        for (idx, shard) in plan.shards.iter().enumerate() {
-            ctx.tracer.begin(names::EV_REFINE_SHARD, idx as u64);
-            let run =
-                parallel::converge_shard(shard, &cells, &mut ctx, cfg.max_iterations, 0, 1, None);
-            ctx.tracer.end(names::EV_REFINE_SHARD);
-            iterations = iterations.max(run.iterations);
-            ctx.sheet
-                .record(names::HIST_SHARD_ITERATIONS, run.iterations as u64);
-            traces.push(run.trace);
-        }
+        ctx.tracer = tracer.worker(names::TRACK_REFINE_WORKER, w);
+        let run = parallel::converge(
+            &levels,
+            &cells,
+            &mut ctx,
+            cfg.max_iterations,
+            w,
+            crew,
+            &barrier,
+        );
         ctx.flush_cache_stats();
-        tracer.submit(ctx.tracer);
-        (iterations, traces, ctx.sheet)
-    } else {
-        parallel::refine_parallel(graph, plan, &cells, rels, cones, cfg, threads, wp, &tracer)
-    };
-    cells.write_back(state);
-    state.iterations = iterations;
-    state.convergence_traces = traces;
-
-    // Plan-level telemetry, recorded once on the calling thread so serial
-    // and parallel runs produce the identical deterministic sheet.
-    sheet.inc(names::REFINE_RUNS);
-    sheet.add(names::REFINE_ITERATIONS, iterations as u64);
-    sheet.add(names::REFINE_SHARDS, plan.shards.len() as u64);
-    for shard in &plan.shards {
-        sheet.record(names::HIST_SHARD_WAVEFRONTS, shard.levels.len() as u64);
+        (run, ctx.sheet, ctx.tracer)
+    });
+    // Merge telemetry and event tracks in crew order, so the combined sheet
+    // and the trace document are identical run to run. Every participant
+    // computed the identical convergence run; keep the first.
+    let mut sheet = obs::MetricSheet::new();
+    let mut converged = None;
+    for (run, worker_sheet, worker_tracer) in runs {
+        sheet.merge(&worker_sheet);
+        tracer.submit(worker_tracer);
+        converged.get_or_insert(run);
     }
+    let converged = converged.expect("the crew has at least one worker");
+    cells.write_back(state);
+    state.iterations = converged.iterations;
+    state.convergence_trace = converged.trace;
+
+    sheet.inc(names::REFINE_RUNS);
+    sheet.add(names::REFINE_ITERATIONS, state.iterations as u64);
     sheet.add(
         names::REFINE_ROUTERS_ANNOTATED,
         state
@@ -151,30 +125,20 @@ pub fn refine_in_pool(
             .filter(|a| **a != net_types::Asn::NONE)
             .count() as u64,
     );
-    sheet.add_exec(names::EXEC_REFINE_WORKERS, threads as u64);
+    sheet.add_exec(names::EXEC_REFINE_WORKERS, crew as u64);
     rec.absorb(&sheet);
 }
 
-/// Resolves the pool's worker budget against the shard plan, falling back
-/// to the serial path when the plan has nothing to offer a thread pool
-/// (e.g. a single narrow shard). Shared with the incremental engine, which
-/// resolves against its dirty-shard subset plan.
-pub(crate) fn effective_threads(requested: usize, plan: &ShardPlan) -> usize {
-    if requested <= 1 {
+/// Resolves the pool's worker budget against the wavefront levels: a graph
+/// too small to be worth a barrier per level runs on one worker, and more
+/// workers than the widest level would only ever wait at barriers.
+fn crew_size(workers: usize, levels: &[Vec<u32>]) -> usize {
+    let mid_path: usize = levels.iter().map(Vec::len).sum();
+    if mid_path < LOCKSTEP_MIN_MID_PATH {
         return 1;
     }
-    let lockstep_shards = plan
-        .shards
-        .iter()
-        .filter(|s| s.mid_path.len() >= LOCKSTEP_MIN_MID_PATH)
-        .count();
-    let solo_shards = plan.shards.len() - lockstep_shards;
-    if lockstep_shards == 0 && solo_shards <= 1 {
-        return 1;
-    }
-    // More workers than the widest level (or the shard count, whichever
-    // offers more slots) would only ever wait at barriers.
-    requested.min(plan.max_level_width().max(plan.shards.len()))
+    let widest = levels.iter().map(Vec::len).max().unwrap_or(1);
+    workers.clamp(1, widest)
 }
 
 #[cfg(test)]
@@ -188,14 +152,14 @@ mod tests {
         println!("convergence hash seed: {CONVERGENCE_HASH_SEED:#018x}");
         // Golden value: any change to the hashing scheme shows up here
         // (and would invalidate recorded convergence traces).
-        let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
+        let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
         for v in [1u32, 2, 3, 0, u32::MAX] {
             h.write_u32(v);
         }
         assert_eq!(h.finish(), 0x05c2_d6bc_0506_dcbd);
         // Distinct inputs hash apart; same input hashes the same.
         let one = |vals: &[u32]| {
-            let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
+            let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
             vals.iter().for_each(|&v| h.write_u32(v));
             h.finish()
         };
@@ -206,8 +170,8 @@ mod tests {
 
     #[test]
     fn seed_changes_the_hash() {
-        let mut a = ShardHasher::new(1);
-        let mut b = ShardHasher::new(2);
+        let mut a = StateHasher::new(1);
+        let mut b = StateHasher::new(2);
         a.write_u32(42);
         b.write_u32(42);
         assert_ne!(a.finish(), b.finish());

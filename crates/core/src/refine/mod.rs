@@ -3,22 +3,21 @@
 //! Each iteration annotates every mid-path IR with its operating AS
 //! ([`router`], Algorithm 2), then re-annotates every interface with the AS
 //! it connects to ([`interface`], §6.2). Annotations propagate across the
-//! graph between iterations; each link-connected [`shard`] of the graph
-//! stops when its state repeats ([`engine`], §6.3). The sweeps run serially
-//! or on a thread pool ([`parallel`]) per [`Config::threads`](crate::Config)
-//! with bit-identical results.
+//! graph between iterations, and the loop stops at the first repeated
+//! global state ([`engine`], §6.3). The router sweep runs one wavefront
+//! level ([`levels`]) at a time on a crew of [`Config::threads`](crate::Config)
+//! workers or fewer ([`parallel`]), with bit-identical results for every
+//! crew size.
 
 pub mod engine;
 pub mod exceptions;
 pub mod hidden;
-pub mod incremental;
 pub mod interface;
+pub mod levels;
 pub mod parallel;
 pub mod realloc;
 pub mod router;
-pub mod shard;
 pub mod votes;
 
-pub use engine::{refine, refine_in_pool, refine_with_obs, CONVERGENCE_HASH_SEED};
-pub use incremental::{refine_incremental, IncrementalStats, ShardCache};
-pub use shard::{Shard, ShardPlan};
+pub use engine::{refine, CONVERGENCE_HASH_SEED};
+pub use levels::wavefront_levels;

@@ -1,44 +1,37 @@
-//! Parallel execution of the refinement loop, bit-identical to serial.
+//! The refinement loop's sweeps, executed by one or more workers in
+//! lockstep with results bit-identical to serial.
 //!
-//! Two tiers of parallelism, both derived from the dependency analysis in
-//! [`shard`](crate::refine::shard):
+//! All workers process the graph together, one wavefront level (see
+//! [`levels`](crate::refine::levels)) at a time. The serial sweep's
+//! Gauss-Seidel semantics — a read of a lower-indexed mid-path IR sees this
+//! sweep's value, a read of a higher-indexed one sees the pre-sweep value —
+//! are reproduced exactly with a versioned view: current values for lower
+//! indices (their level has already completed), a pre-sweep snapshot for
+//! higher ones. Within one level no IR reads another's output, so commits
+//! are immediate and order-free.
 //!
-//! 1. **Across shards.** Weakly connected components share no annotation
-//!    state, so whole shards converge independently. Small shards are dealt
-//!    round-robin to workers, each running the ordinary single-threaded
-//!    per-shard loop.
-//! 2. **Within a shard.** Large shards are processed by *all* workers in
-//!    lockstep, one wavefront level at a time. The serial sweep's
-//!    Gauss-Seidel semantics — a read of a lower-indexed mid-path IR sees
-//!    this sweep's value, a read of a higher-indexed one sees the pre-sweep
-//!    value — are reproduced exactly with a versioned view: current values
-//!    for lower indices (their level has already completed), a pre-sweep
-//!    snapshot for higher ones. Within one level no IR reads another's
-//!    output, so commits are immediate and order-free.
-//!
-//! Both tiers run the **same** `converge_shard` routine the serial engine
-//! uses; parallelism changes only who executes which slice, never what any
-//! slice computes. That is the whole equivalence argument: results are
-//! identical for every thread count by construction, and the determinism
-//! suite (`tests/determinism.rs`) checks it end to end.
+//! One routine, [`converge`], is the loop for every crew size; a crew of
+//! one is the serial engine. Parallelism changes only who executes which
+//! slice of a level, never what any slice computes. That is the whole
+//! equivalence argument: results are identical for every thread count by
+//! construction, and the determinism suite (`tests/determinism.rs`) checks
+//! it end to end.
 //!
 //! Annotation values live in `AtomicU32` cells so workers can share them
 //! without locks; all data accesses are `Relaxed` (disjoint by the level
 //! discipline) with a spin barrier providing the ordering between levels.
 
 use crate::graph::{IfIdx, IrGraph, IrId};
-use crate::refine::engine::{ShardHasher, CONVERGENCE_HASH_SEED};
-use crate::refine::shard::{Shard, ShardPlan};
+use crate::refine::engine::{StateHasher, CONVERGENCE_HASH_SEED};
 use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
 use net_types::Asn;
-use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Mid-path population below which a shard is not worth lockstep scheduling
-/// and is instead handed to a single worker.
+/// Mid-path population below which the graph is not worth lockstep
+/// scheduling and is instead converged by a single worker.
 pub(crate) const LOCKSTEP_MIN_MID_PATH: usize = 16;
 
 /// Shared annotation cells for one refinement run.
@@ -105,7 +98,7 @@ impl<'a> SweepCtx<'a> {
     }
 
     /// Moves the accumulated cache hit/miss tallies into the sheet (called
-    /// once per worker, after its last shard). Execution-dependent class:
+    /// once per worker, after its last sweep). Execution-dependent class:
     /// each worker's cache sees a different slice of the work, so the split
     /// varies with the thread count.
     pub fn flush_cache_stats(&mut self) {
@@ -158,91 +151,82 @@ impl<'a> RouterView<'a> {
     }
 }
 
-/// `worker`'s contiguous slice of a level/list when `workers` cooperate.
-fn chunk(items: &[u32], worker: usize, workers: usize) -> &[u32] {
-    let n = items.len();
-    &items[n * worker / workers..n * (worker + 1) / workers]
+/// `worker`'s contiguous share of `0..len` when `workers` cooperate.
+fn share(len: usize, worker: usize, workers: usize) -> Range<usize> {
+    len * worker / workers..len * (worker + 1) / workers
 }
 
-/// Stable hash of one shard's annotation state (routers then interfaces,
-/// ascending index order).
-pub(crate) fn shard_hash(shard: &Shard, cells: &SweepCells) -> u64 {
-    let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
-    for &ir in &shard.irs {
+/// `worker`'s contiguous slice of a level when `workers` cooperate.
+fn chunk(items: &[u32], worker: usize, workers: usize) -> &[u32] {
+    &items[share(items.len(), worker, workers)]
+}
+
+/// Stable hash of the global annotation state: every IR's router
+/// annotation, then every interface annotation, in ascending index order.
+pub(crate) fn state_hash(cells: &SweepCells) -> u64 {
+    let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
+    for cell in &cells.router {
         // detlint::allow(relaxed-atomic-output): hashed after the sweep's final barrier, when cells are quiescent; determinism suite pins the trace
-        h.write_u32(cells.router[ir as usize].load(Ordering::Relaxed));
+        h.write_u32(cell.load(Ordering::Relaxed));
     }
-    for &j in &shard.ifaces {
-        h.write_u32(cells.iface[j as usize].load(Ordering::Relaxed));
+    for cell in &cells.iface {
+        h.write_u32(cell.load(Ordering::Relaxed));
     }
     h.finish()
 }
 
-#[inline]
-fn sync(barrier: Option<&SpinBarrier>) {
-    if let Some(b) = barrier {
-        b.wait();
-    }
-}
-
-/// What one shard's convergence run produced: the iteration count and the
-/// full convergence hash trace (pre-sweep state hash, then one hash per
+/// What one convergence run produced: the iteration count and the full
+/// convergence hash trace (pre-sweep state hash, then one hash per
 /// iteration). The trace is part of the determinism contract: serial and
 /// parallel execution must produce identical traces, not merely identical
 /// fixpoints, so an ordering bug that happens to converge to the right
 /// answer still shows up.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ShardRun {
+#[derive(Debug)]
+pub(crate) struct Convergence {
     /// Iterations executed before the first repeated state (or the cap).
     pub iterations: usize,
-    /// `[h_0, h_1, ..., h_n]`: shard-state hash before refinement and after
-    /// each iteration.
+    /// `[h_0, h_1, ..., h_n]`: state hash before refinement and after each
+    /// iteration.
     pub trace: Vec<u64>,
 }
 
-/// Runs one shard to convergence (§6.3 applied shard-locally): sweep
-/// routers level by level, sweep interfaces, and stop at the first repeated
-/// shard state, with `max_iterations` as the backstop.
+/// Runs the graph to convergence (§6.3): sweep routers level by level,
+/// sweep interfaces, and stop at the first repeated global state, with
+/// `max_iterations` as the backstop.
 ///
-/// This single routine *is* the refinement algorithm for every execution
-/// mode. Called with `workers == 1` and no barrier it is the serial engine;
-/// called by `workers` threads in lockstep (same shard, same barrier, each
-/// with a distinct `worker` index) the per-level chunks partition each
-/// wavefront and every participant returns the same iteration count. All
-/// workers hash the whole shard redundantly, so their stop decisions agree
-/// without communicating — and every participant computes the identical
-/// [`ShardRun::trace`].
-pub(crate) fn converge_shard(
-    shard: &Shard,
+/// This single routine *is* the refinement algorithm for every crew size.
+/// Called with `workers == 1` it is the serial engine; called by `workers`
+/// threads in lockstep (same barrier, each with a distinct `worker` index)
+/// the per-level chunks partition each wavefront and every participant
+/// returns the same [`Convergence`]. All workers hash the whole state
+/// redundantly, so their stop decisions agree without communicating.
+pub(crate) fn converge(
+    levels: &[Vec<u32>],
     cells: &SweepCells,
     ctx: &mut SweepCtx<'_>,
     max_iterations: usize,
     worker: usize,
     workers: usize,
-    barrier: Option<&SpinBarrier>,
-) -> ShardRun {
-    // detlint::allow(unordered-collection): membership-only duplicate
-    // detector for convergence hashes; never iterated, so storage order
-    // cannot influence when the loop stops
-    let mut seen: HashSet<u64> = HashSet::new();
-    let h0 = shard_hash(shard, cells);
-    seen.insert(h0);
-    let mut trace = vec![h0];
+    barrier: &SpinBarrier,
+) -> Convergence {
+    let mut trace = vec![state_hash(cells)];
     let mut iterations = 0;
     for i in 0..max_iterations {
         ctx.tracer.begin(obs::names::EV_REFINE_WAVE, i as u64);
-        // Snapshot this shard's mid-path annotations (only those can have
-        // changed) so higher-index reads see pre-sweep values.
-        for &ir in chunk(&shard.mid_path, worker, workers) {
-            cells.prev[ir as usize].store(
-                // detlint::allow(relaxed-atomic-output): barrier-delimited snapshot copy; each cell has exactly one writer per level, pinned by the determinism suite
-                cells.router[ir as usize].load(Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
+        // Snapshot the mid-path annotations (only those can change) so
+        // higher-index reads see pre-sweep values.
+        for level in levels {
+            for &ir in chunk(level, worker, workers) {
+                cells.prev[ir as usize].store(
+                    // detlint::allow(relaxed-atomic-output): barrier-delimited snapshot copy; each cell has exactly one writer per level, pinned by the determinism suite
+                    cells.router[ir as usize].load(Ordering::Relaxed),
+                    Ordering::Relaxed,
+                );
+            }
         }
-        sync(barrier);
+        barrier.wait();
         // Router sweep (§6.1), one wavefront level at a time.
-        for level in &shard.levels {
+        for level in levels {
             for &iri in chunk(level, worker, workers) {
                 if cells.frozen[iri as usize] {
                     continue;
@@ -260,135 +244,31 @@ pub(crate) fn converge_shard(
                     cells.router[iri as usize].store(a.0, Ordering::Relaxed);
                 }
             }
-            sync(barrier);
+            barrier.wait();
         }
         // Interface sweep (§6.2): reads only committed router annotations,
         // writes only its own cell, so one barrier at the end suffices.
-        for &j in chunk(&shard.ifaces, worker, workers) {
-            if let Some(a) = interface::annotate_iface_one(j as usize, cells, ctx) {
-                cells.iface[j as usize].store(a.0, Ordering::Relaxed);
+        for j in share(cells.iface.len(), worker, workers) {
+            if let Some(a) = interface::annotate_iface_one(j, cells, ctx) {
+                cells.iface[j].store(a.0, Ordering::Relaxed);
             }
         }
-        sync(barrier);
-        let h = shard_hash(shard, cells);
+        barrier.wait();
+        let h = state_hash(cells);
         iterations = i + 1;
+        // At most `max_iterations` hashes: a linear scan is cheaper than a
+        // set and has no iteration order to reason about.
+        let repeated = trace.contains(&h);
         trace.push(h);
-        let repeated = !seen.insert(h);
         // Everyone must finish reading the state for the hash before the
         // next iteration starts overwriting it.
-        sync(barrier);
+        barrier.wait();
         ctx.tracer.end(obs::names::EV_REFINE_WAVE);
         if repeated {
             break;
         }
     }
-    ShardRun { iterations, trace }
-}
-
-/// Runs the whole plan on `threads` workers broadcast from the shared
-/// worker pool (one crew slot per worker — lockstep participants must
-/// never share a thread, so these slots are not stealable). Returns the
-/// maximum per-shard iteration count plus the convergence hash trace of
-/// every shard, indexed by the shard's position in `plan.shards` — the same
-/// order the serial engine visits them, so the two paths yield comparable
-/// trace vectors — plus the workers' telemetry sheets merged in
-/// worker-index order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_parallel(
-    graph: &IrGraph,
-    plan: &ShardPlan,
-    cells: &SweepCells,
-    rels: &AsRelationships,
-    cones: &CustomerCones,
-    cfg: &Config,
-    threads: usize,
-    wp: &pool::WorkerPool,
-    tracer: &obs::Tracer,
-) -> (usize, Vec<Vec<u64>>, obs::MetricSheet) {
-    // A shard tagged with its index in `plan.shards`, which survives the
-    // big/small partition so traces land in plan order.
-    type Indexed<'a> = Vec<(usize, &'a Shard)>;
-    let (big, small): (Indexed, Indexed) = plan
-        .shards
-        .iter()
-        .enumerate()
-        .partition(|(_, s)| s.mid_path.len() >= LOCKSTEP_MIN_MID_PATH);
-    let barrier = SpinBarrier::new(threads);
-    let max_iterations = AtomicUsize::new(0);
-    // One slot per shard, written exactly once: by worker 0 for lockstep
-    // shards (all participants compute the identical trace) and by the
-    // round-robin owner for solo shards.
-    let traces: Vec<Mutex<Vec<u64>>> = plan.shards.iter().map(|_| Mutex::new(Vec::new())).collect();
-    // One telemetry sheet slot per worker, written exactly once when the
-    // worker finishes; merged below in worker-index order so the combined
-    // sheet is identical run to run.
-    let sheets: Vec<Mutex<obs::MetricSheet>> = (0..threads)
-        .map(|_| Mutex::new(obs::MetricSheet::new()))
-        .collect();
-    // One event-track slot per worker, parked when the worker finishes and
-    // submitted below in worker-index order so the merged trace document has
-    // a deterministic track structure.
-    let tracer_slots: Vec<Mutex<Option<obs::WorkerTracer>>> =
-        (0..threads).map(|_| Mutex::new(None)).collect();
-    let worker = |w: usize| {
-        let mut ctx = SweepCtx::new(graph, cfg, rels, cones);
-        ctx.tracer = tracer.worker(obs::names::TRACK_REFINE_WORKER, w);
-        let mut local = 0usize;
-        // Big shards: every worker, lockstep.
-        for &(idx, shard) in &big {
-            ctx.tracer.begin(obs::names::EV_REFINE_SHARD, idx as u64);
-            let run = converge_shard(
-                shard,
-                cells,
-                &mut ctx,
-                cfg.max_iterations,
-                w,
-                threads,
-                Some(&barrier),
-            );
-            ctx.tracer.end(obs::names::EV_REFINE_SHARD);
-            local = local.max(run.iterations);
-            if w == 0 {
-                // Every lockstep participant computes the identical run;
-                // one designated worker records it (trace and histogram).
-                ctx.sheet
-                    .record(obs::names::HIST_SHARD_ITERATIONS, run.iterations as u64);
-                // detlint::allow(interior-mut-in-worker): slot-per-shard mailbox; exactly one designated worker (w == 0) writes each slot, so no lock-order dependence
-                *traces[idx].lock().unwrap() = run.trace;
-            }
-        }
-        // Small shards: dealt round-robin, each converged solo.
-        for (k, &(idx, shard)) in small.iter().enumerate() {
-            if k % threads == w {
-                ctx.tracer.begin(obs::names::EV_REFINE_SHARD, idx as u64);
-                let run = converge_shard(shard, cells, &mut ctx, cfg.max_iterations, 0, 1, None);
-                ctx.tracer.end(obs::names::EV_REFINE_SHARD);
-                local = local.max(run.iterations);
-                ctx.sheet
-                    .record(obs::names::HIST_SHARD_ITERATIONS, run.iterations as u64);
-                *traces[idx].lock().unwrap() = run.trace;
-            }
-        }
-        ctx.flush_cache_stats();
-        *sheets[w].lock().unwrap() = ctx.sheet;
-        *tracer_slots[w].lock().unwrap() = Some(ctx.tracer);
-        max_iterations.fetch_max(local, Ordering::SeqCst);
-    };
-    wp.broadcast(obs::names::EXEC_POOL_BUSY_REFINE, threads, worker);
-    for slot in tracer_slots {
-        if let Some(wt) = slot.into_inner().unwrap() {
-            tracer.submit(wt);
-        }
-    }
-    let traces = traces
-        .into_iter()
-        .map(|m| m.into_inner().unwrap())
-        .collect();
-    let mut sheet = obs::MetricSheet::new();
-    for s in sheets {
-        sheet.merge(&s.into_inner().unwrap());
-    }
-    (max_iterations.load(Ordering::SeqCst), traces, sheet)
+    Convergence { iterations, trace }
 }
 
 /// A sense-reversing spin barrier.

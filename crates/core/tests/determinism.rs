@@ -2,10 +2,11 @@
 //! bit-identical annotations for every thread count (the contract stated on
 //! [`Config::threads`] and proven structurally in `refine::parallel`). These
 //! tests check it empirically over arbitrary generated corpora, alongside
-//! the shard-plan invariants the equivalence argument rests on.
+//! the wavefront-level invariants the equivalence argument rests on.
 
 use alias::AliasSets;
 use as_rel::{AsRelationships, CustomerCones};
+use bdrmapit_core::refine::wavefront_levels;
 use bdrmapit_core::{Bdrmapit, Config, IrGraph};
 use bgp::IpToAs;
 use net_types::{Asn, Prefix};
@@ -72,14 +73,30 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Trace>> {
     proptest::collection::vec(trace_strategy(), 1..40)
 }
 
+/// Alias groups synthesized from a corpus — consecutive observed addresses
+/// paired up — so grouped-IR numbering is exercised, not just singletons.
+fn paired_aliases(traces: &[Trace]) -> AliasSets {
+    let mut observed: Vec<u32> = traces
+        .iter()
+        .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+        .collect();
+    observed.sort_unstable();
+    observed.dedup();
+    AliasSets::from_groups(observed.chunks(2).map(|pair| {
+        pair.iter()
+            .copied()
+            .collect::<std::collections::BTreeSet<u32>>()
+    }))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline guarantee: `threads` never changes a single annotation —
     /// nor, with telemetry enabled, a single deterministic counter or
-    /// histogram. Thread counts 2 and 8 exercise both parallel regimes
-    /// (fewer and more workers than most corpora have shards/level slots)
-    /// against serial; each count also runs with event tracing enabled,
+    /// histogram. Thread counts 2 and 8 exercise fewer and more workers
+    /// than most corpora have level slots against serial (small graphs run
+    /// on one worker); each count also runs with event tracing enabled,
     /// which must be just as write-only as the metric sheets.
     #[test]
     fn thread_count_never_changes_results(traces in corpus_strategy()) {
@@ -127,19 +144,19 @@ proptest! {
                 threads
             );
             prop_assert_eq!(serial.state.iterations, parallel.state.iterations);
-            // Stronger than fixpoint equality: the per-shard convergence
-            // hash traces must match step for step, so an ordering bug that
-            // happens to converge to the same answer still fails here.
+            // Stronger than fixpoint equality: the convergence hash traces
+            // must match step for step, so an ordering bug that happens to
+            // converge to the same answer still fails here.
             prop_assert_eq!(
-                &serial.state.convergence_traces,
-                &parallel.state.convergence_traces,
+                &serial.state.convergence_trace,
+                &parallel.state.convergence_trace,
                 "convergence traces diverged at threads={}",
                 threads
             );
-            prop_assert!(
-                !serial.state.convergence_traces.is_empty()
-                    || serial.graph.shards.shards.is_empty(),
-                "traces missing despite a non-empty shard plan"
+            prop_assert_eq!(
+                serial.state.convergence_trace.len(),
+                serial.state.iterations + 1,
+                "trace must hold the initial hash plus one per iteration"
             );
         }
         // Telemetry is write-only: running with the recorder disabled gives
@@ -152,32 +169,21 @@ proptest! {
             "enabling telemetry changed the annotations"
         );
         prop_assert_eq!(
-            &serial.state.convergence_traces,
-            &bare.state.convergence_traces,
+            &serial.state.convergence_trace,
+            &bare.state.convergence_trace,
             "enabling telemetry changed the convergence traces"
         );
     }
 
     /// Phase 1 in isolation: the interned two-pass build (DESIGN.md §12) is
     /// structurally identical to serial for every thread count — every
-    /// field of the graph, not just the annotations derived from it. Alias
-    /// groups are synthesized from the corpus so grouped-IR numbering is
-    /// exercised, not just singletons.
+    /// field of the graph, not just the annotations derived from it, with
+    /// [`paired_aliases`] groups.
     #[test]
     fn graph_build_is_thread_count_invariant(traces in corpus_strategy()) {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let mut observed: Vec<u32> = traces
-            .iter()
-            .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
-            .collect();
-        observed.sort_unstable();
-        observed.dedup();
-        let aliases = AliasSets::from_groups(
-            observed
-                .chunks(2)
-                .map(|pair| pair.iter().copied().collect::<std::collections::BTreeSet<u32>>()),
-        );
+        let aliases = paired_aliases(&traces);
         let build = |threads: usize| {
             let cfg = Config { threads, ..Config::default() };
             IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones)
@@ -200,43 +206,48 @@ proptest! {
         }
     }
 
-    /// The shard plan the equivalence rests on: every IR lands in exactly
-    /// one shard, every interface follows its IR, and the wavefront levels
-    /// of each shard are a partition of its mid-path set.
+    /// The wavefront levels lockstep ≡ serial rests on, over singleton and
+    /// grouped IRs: the levels partition the mid-path IRs, each level is
+    /// ascending, and every same-sweep dependency — a link from IR *i* to a
+    /// lower-indexed mid-path IR *j*, whose value the serial sweep reads
+    /// fresh — has *j* in a strictly lower level than *i*.
     #[test]
-    fn shard_plan_partitions_every_built_graph(traces in corpus_strategy()) {
+    fn wavefront_levels_order_every_same_sweep_dependency(traces in corpus_strategy()) {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let g = IrGraph::build(&traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones);
-        let plan = &g.shards;
+        for aliases in [AliasSets::empty(), paired_aliases(&traces)] {
+            let g = IrGraph::build(&traces, &aliases, &oracle(), &Config::default(), &r, &cones);
+            let levels = wavefront_levels(&g.irs, &g.iface_ir);
 
-        let mut ir_seen = vec![0u32; g.irs.len()];
-        let mut iface_seen = vec![0u32; g.iface_addrs.len()];
-        for (sid, shard) in plan.shards.iter().enumerate() {
-            for &ir in &shard.irs {
-                ir_seen[ir as usize] += 1;
-                prop_assert_eq!(plan.ir_shard[ir as usize], sid as u32);
+            let mut level_of: Vec<Option<usize>> = vec![None; g.irs.len()];
+            for (d, level) in levels.iter().enumerate() {
+                prop_assert!(level.windows(2).all(|w| w[0] < w[1]), "level {} not ascending", d);
+                for &i in level {
+                    prop_assert!(level_of[i as usize].is_none(), "IR {} in two levels", i);
+                    level_of[i as usize] = Some(d);
+                }
             }
-            for &j in &shard.ifaces {
-                iface_seen[j as usize] += 1;
+            for ir in &g.irs {
+                let i = ir.id.0;
+                let mid_path = !ir.links.is_empty();
                 prop_assert_eq!(
-                    plan.ir_shard[g.iface_ir[j as usize].0 as usize],
-                    sid as u32,
-                    "interface in a different shard than its IR"
+                    level_of[i as usize].is_some(),
+                    mid_path,
+                    "levels must hold exactly the mid-path IRs (IR {})",
+                    i
                 );
-            }
-            let mut level_irs: Vec<u32> = shard.levels.iter().flatten().copied().collect();
-            level_irs.sort_unstable();
-            prop_assert_eq!(&level_irs, &shard.mid_path, "levels must partition mid_path");
-            // Every link stays inside the shard (the independence property).
-            for &i in &shard.irs {
-                for link in &g.irs[i as usize].links {
-                    let jr = g.iface_ir[link.dst.0 as usize].0;
-                    prop_assert_eq!(plan.ir_shard[jr as usize], sid as u32, "link escapes shard");
+                for link in &ir.links {
+                    let j = g.iface_ir[link.dst.0 as usize].0;
+                    if j < i && !g.irs[j as usize].links.is_empty() {
+                        prop_assert!(
+                            level_of[j as usize] < level_of[i as usize],
+                            "IR {} reads IR {} within a sweep but is not in a later level",
+                            i,
+                            j
+                        );
+                    }
                 }
             }
         }
-        prop_assert!(ir_seen.iter().all(|&c| c == 1), "IR not in exactly one shard");
-        prop_assert!(iface_seen.iter().all(|&c| c == 1), "iface not in exactly one shard");
     }
 }

@@ -6,7 +6,7 @@
 //! trace). That contract is easy to break silently: one `for` loop over a
 //! `HashMap`, one `DefaultHasher`, one stray `thread::spawn`, one float
 //! tally that sums in scheduling order — and outputs start differing across
-//! runs, platforms, or shard plans while every test still passes. The
+//! runs, platforms, or thread counts while every test still passes. The
 //! dynamic determinism suite (`crates/core/tests/determinism.rs`) samples a
 //! tiny corner of the input space; detlint checks the *source* of every
 //! code path at CI time.

@@ -53,11 +53,12 @@ fn allow_inventory_does_not_silently_grow() {
         *by_rule.entry(f.rule.as_str()).or_insert(0) += 1;
     }
     let expected: std::collections::BTreeMap<&str, usize> = [
-        // as-rel memo tables (2), refine duplicate filter, snapshot
-        // interface→router hash index (read-only after construction; query
-        // answers never iterate it). The graph build's former per-hop
-        // HashMap is gone: interned ids made it a sorted-vec binary search.
-        ("unordered-collection", 4),
+        // as-rel memo tables (2) and the snapshot interface→router hash
+        // index (read-only after construction; query answers never iterate
+        // it). The graph build's former per-hop HashMap is gone: interned
+        // ids made it a sorted-vec binary search. The refinement loop's
+        // duplicate-state filter is a scan of its convergence trace.
+        ("unordered-collection", 3),
         // eval metric folds in tests.
         ("float-accum", 4),
         // serve's request-serving worker pool + background accept-loop
@@ -76,9 +77,8 @@ fn allow_inventory_does_not_silently_grow() {
         // hash) — each justified at the site; the determinism suite pins
         // the resulting traces.
         ("relaxed-atomic-output", 6),
-        // The refinement worker's slot-per-shard trace mailbox (single
-        // designated writer per slot).
-        ("interior-mut-in-worker", 1),
+        // No `interior-mut-in-worker` allowance: the refinement crew hands
+        // its results back through the pool's crew-ordered broadcast return.
     ]
     .into_iter()
     .collect();

@@ -12,9 +12,8 @@ use std::collections::BTreeMap;
 
 /// An exact-value histogram: `value → occurrence count`.
 ///
-/// Pipeline histogram samples (iterations per shard, wavefronts per shard)
-/// are small integers with tiny cardinality, so exact counts are cheaper
-/// than bucketing and keep the report bit-reproducible.
+/// Samples are integers counted exactly rather than bucketed, which keeps
+/// a report bit-reproducible.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     values: BTreeMap<u64, u64>,

@@ -65,10 +65,8 @@ pub const GRAPH_IFACES: &str = "graph.ifaces";
 pub const LASTHOP_FROZEN: &str = "lasthop.frozen";
 /// Refinement runs executed (a report can cover several).
 pub const REFINE_RUNS: &str = "refine.runs";
-/// Refinement iterations (max across shards, summed over runs).
+/// Refinement iterations (summed over runs).
 pub const REFINE_ITERATIONS: &str = "refine.iterations";
-/// Shards in the refinement plans processed.
-pub const REFINE_SHARDS: &str = "refine.shards";
 /// Router annotations that changed value during a sweep.
 pub const REFINE_VOTES_CHANGED: &str = "refine.votes_changed";
 /// Routers carrying an annotation after refinement.
@@ -84,8 +82,8 @@ pub const REFINE_THIRD_PARTY_VOTES: &str = "refine.third_party_votes";
 
 // ---- churn counters ----------------------------------------------------------
 // The streaming topology-dynamics workload (crates/churn): per-run totals
-// over all epochs. Deterministic: the schedule, dirty sets, and shard reuse
-// are pure functions of the seeds.
+// over all epochs. Deterministic: the schedule and the dirty sets are pure
+// functions of the seeds.
 
 /// Epochs stepped by a churn run.
 pub const CHURN_EPOCHS: &str = "churn.epochs";
@@ -98,27 +96,12 @@ pub const CHURN_EVENTS_SKIPPED: &str = "churn.events_skipped";
 pub const CHURN_DIRTY_PAIRS: &str = "churn.dirty_pairs";
 /// `(vp, dst)` pairs served from the cached corpus.
 pub const CHURN_CLEAN_PAIRS: &str = "churn.clean_pairs";
-/// Refinement shards re-converged by the incremental engine.
-pub const CHURN_DIRTY_SHARDS: &str = "churn.dirty_shards";
-/// Refinement shards whose converged annotations were replayed from the
-/// fingerprint cache.
-pub const CHURN_REUSED_SHARDS: &str = "churn.reused_shards";
 /// Epochs that forced a full RIB/IP→AS/relationship rebuild (interdomain
 /// routing changed).
 pub const CHURN_RIB_REBUILDS: &str = "churn.rib_rebuilds";
 
 /// Span: one churn epoch end to end (events through snapshot).
 pub const PHASE_CHURN_EPOCH: &str = "churn.epoch";
-/// Instant: a shard dirtied for incremental re-convergence (arg: shard
-/// index).
-pub const EV_REFINE_DIRTY_SHARD: &str = "refine.dirty_shard";
-
-// ---- deterministic histograms ----------------------------------------------
-
-/// Iterations to convergence, one sample per shard.
-pub const HIST_SHARD_ITERATIONS: &str = "refine.shard_iterations";
-/// Wavefront levels, one sample per shard.
-pub const HIST_SHARD_WAVEFRONTS: &str = "refine.shard_wavefronts";
 
 // ---- detlint static-analysis counters ----------------------------------------
 // Deterministic: pure functions of the scanned source tree.
@@ -185,8 +168,6 @@ pub const PHASE1_LINKS: &str = "phase1.links";
 pub const PHASE1_REDUCE: &str = "phase1.reduce";
 /// Per-IR metadata annotation (degree, relationships, cone membership).
 pub const PHASE1_METADATA: &str = "phase1.metadata";
-/// Shard-plan computation over the finished graph.
-pub const PHASE1_SHARD_PLAN: &str = "phase1.shard_plan";
 
 // ---- trace tracks and events -------------------------------------------------
 // Names used by `obs::trace`: tracks become Chrome `thread_name`s, events
@@ -210,8 +191,6 @@ pub const EV_POOL_TASK: &str = "pool.task";
 pub const EV_POOL_STEAL: &str = "pool.steal";
 /// Span: index-ordered reassembly of batch results on the coordinator.
 pub const EV_POOL_REASSEMBLE: &str = "pool.reassemble";
-/// Span: one shard converging on a refinement worker (arg: shard index).
-pub const EV_REFINE_SHARD: &str = "refine.shard";
 /// Span: one lockstep refinement wave/iteration (arg: iteration index).
 pub const EV_REFINE_WAVE: &str = "refine.wave";
 /// Instant: probe campaign destination count (arg: destinations).

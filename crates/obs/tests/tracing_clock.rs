@@ -19,16 +19,16 @@ fn overlapping_spans_on_shared_clock_stay_monotone_per_track() {
     let mut w1 = tracer.worker(names::TRACK_REFINE_WORKER, 1);
     tracer.begin_main(names::PHASE_REFINE, 0);
     clock.advance(1_000);
-    w0.begin(names::EV_REFINE_SHARD, 0);
+    w0.begin(names::EV_REFINE_WAVE, 0);
     clock.advance(1_000);
-    w1.begin(names::EV_REFINE_SHARD, 1);
+    w1.begin(names::EV_REFINE_WAVE, 1);
     clock.advance(500);
-    w1.instant(names::EV_REFINE_WAVE, 1);
-    w1.end(names::EV_REFINE_SHARD);
+    w1.instant(names::EV_POOL_STEAL, 1);
+    w1.end(names::EV_REFINE_WAVE);
     clock.advance(500);
     tracer.instant_main(names::EV_CAMPAIGN_DESTS, 42);
     clock.advance(1_000);
-    w0.end(names::EV_REFINE_SHARD);
+    w0.end(names::EV_REFINE_WAVE);
     tracer.end_main(names::PHASE_REFINE);
     tracer.submit(w0);
     tracer.submit(w1);
