@@ -176,12 +176,30 @@ impl UnionFind {
     }
 }
 
-/// Every address observed as a responding hop in the corpus.
-pub fn observed_addresses(traces: &[Trace]) -> BTreeSet<u32> {
-    traces
-        .iter()
-        .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
-        .collect()
+/// Every address observed as a responding hop in the corpus. Trace shards
+/// are collected into sorted, deduplicated runs on the pool; the runs are
+/// merged by one run-adaptive sort, so the set depends only on the corpus.
+pub fn observed_addresses(traces: &[Trace], wp: &pool::WorkerPool) -> BTreeSet<u32> {
+    let batch = wp.batch_size(traces.len());
+    let runs = wp.run(
+        obs::names::EXEC_POOL_BUSY_ALIAS,
+        traces.len().div_ceil(batch),
+        |t| {
+            let shard = &traces[t * batch..((t + 1) * batch).min(traces.len())];
+            let mut addrs: Vec<u32> = shard
+                .iter()
+                .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+                .collect();
+            addrs.sort_unstable();
+            addrs.dedup();
+            addrs
+        },
+    );
+    let mut addrs = runs.concat();
+    // Stable sort: it finds the shard runs and merges them.
+    addrs.sort();
+    addrs.dedup();
+    addrs.into_iter().collect()
 }
 
 /// Synthetic MIDAR + iffinder: per router, with probability `coverage`,
@@ -240,7 +258,7 @@ pub fn resolve_midar_with_obs(
 /// kapar's characteristic over-merging of distinct routers (Fig. 20's
 /// mechanism).
 pub fn resolve_kapar(traces: &[Trace], base: &AliasSets) -> AliasSets {
-    let observed = observed_addresses(traces);
+    let observed = observed_addresses(traces, &pool::WorkerPool::new(1));
     // Observed-address density per /24: point-to-point inference is only
     // plausible on sparse subnets.
     let mut density: BTreeMap<u32, usize> = BTreeMap::new();
@@ -473,7 +491,7 @@ mod tests {
     #[test]
     fn midar_is_perfectly_precise() {
         let (net, traces) = corpus();
-        let observed = observed_addresses(&traces);
+        let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
         let sets = resolve_midar(&net, &observed, 0.9, 7);
         assert!(
             !sets.is_empty(),
@@ -492,7 +510,7 @@ mod tests {
     #[test]
     fn midar_coverage_scales() {
         let (net, traces) = corpus();
-        let observed = observed_addresses(&traces);
+        let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
         let full = resolve_midar(&net, &observed, 1.0, 7);
         let half = resolve_midar(&net, &observed, 0.5, 7);
         let none = resolve_midar(&net, &observed, 0.0, 7);
@@ -503,7 +521,7 @@ mod tests {
     #[test]
     fn kapar_overmerges() {
         let (net, traces) = corpus();
-        let observed = observed_addresses(&traces);
+        let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
         let midar = resolve_midar(&net, &observed, 0.9, 7);
         let kapar = resolve_kapar(&traces, &midar);
         let (tp_m, tot_m) = pair_accuracy(&midar, &net);
@@ -533,7 +551,7 @@ mod tests {
     fn empty_inputs() {
         let sets = resolve_kapar(&[], &AliasSets::empty());
         assert!(sets.is_empty());
-        assert!(observed_addresses(&[]).is_empty());
+        assert!(observed_addresses(&[], &pool::WorkerPool::new(2)).is_empty());
         let (tp, tot) = pair_accuracy(&AliasSets::empty(), &corpus().0);
         assert_eq!((tp, tot), (0, 0));
     }

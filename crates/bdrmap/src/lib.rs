@@ -64,7 +64,17 @@ pub fn run(
 ) -> BdrmapResult {
     let cones = CustomerCones::compute(rels);
     let vp_as = vp_as.unwrap_or_else(|| infer_vp_as(traces, ip2as));
-    let graph = IrGraph::build(traces, aliases, ip2as, &CoreConfig::default(), rels, &cones);
+    let cfg = CoreConfig::default();
+    let graph = IrGraph::build(
+        traces,
+        aliases,
+        ip2as,
+        &cfg,
+        rels,
+        &cones,
+        &pool::WorkerPool::new(cfg.threads),
+        &obs::Recorder::disabled(),
+    );
 
     // ---- step 1: internal routers ----
     // A router is internal when, in some trace, it appears strictly before

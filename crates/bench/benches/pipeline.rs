@@ -12,6 +12,8 @@ fn bench_phases(c: &mut Criterion) {
     let s = &fx.scenario;
     let cones = CustomerCones::compute(&s.rels);
     let cfg = Config::default();
+    let wp = pool::WorkerPool::new(cfg.threads);
+    let rec = obs::Recorder::disabled();
 
     let mut g = c.benchmark_group("phases");
     g.bench_function("phase1_construct_graph", |b| {
@@ -23,6 +25,8 @@ fn bench_phases(c: &mut Criterion) {
                 &cfg,
                 &s.rels,
                 &cones,
+                &wp,
+                &rec,
             )
         });
     });
@@ -34,6 +38,8 @@ fn bench_phases(c: &mut Criterion) {
         &cfg,
         &s.rels,
         &cones,
+        &wp,
+        &rec,
     );
     g.bench_function("phase2_last_hops", |b| {
         b.iter(|| {
@@ -42,8 +48,6 @@ fn bench_phases(c: &mut Criterion) {
             state
         });
     });
-    let wp = pool::WorkerPool::new(cfg.threads);
-    let rec = obs::Recorder::disabled();
     g.bench_function("phase3_refinement", |b| {
         b.iter(|| {
             let mut state = AnnotationState::new(&graph);
@@ -65,6 +69,7 @@ fn bench_refine_threads(c: &mut Criterion) {
     let s = &fx.scenario;
     let cones = CustomerCones::compute(&s.rels);
     let base = Config::default();
+    let rec = obs::Recorder::disabled();
     let graph = IrGraph::build(
         &fx.bundle.traces,
         &fx.bundle.aliases,
@@ -72,11 +77,12 @@ fn bench_refine_threads(c: &mut Criterion) {
         &base,
         &s.rels,
         &cones,
+        &pool::WorkerPool::new(base.threads),
+        &rec,
     );
     let mut annotated = AnnotationState::new(&graph);
     bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut annotated);
 
-    let rec = obs::Recorder::disabled();
     let mut g = c.benchmark_group("phase3_refine");
     for threads in [1usize, 2, 4] {
         let wp = pool::WorkerPool::new(threads);
@@ -112,26 +118,22 @@ fn bench_front_end_threads(c: &mut Criterion) {
                 });
             },
         );
-        let cfg = Config {
-            threads,
-            ..Config::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("graph_threads", threads),
-            &cfg,
-            |b, cfg| {
-                b.iter(|| {
-                    IrGraph::build(
-                        &fx.bundle.traces,
-                        &fx.bundle.aliases,
-                        &s.ip2as,
-                        cfg,
-                        &s.rels,
-                        &cones,
-                    )
-                });
-            },
-        );
+        let wp = pool::WorkerPool::new(threads);
+        let rec = obs::Recorder::disabled();
+        g.bench_with_input(BenchmarkId::new("graph_threads", threads), &wp, |b, wp| {
+            b.iter(|| {
+                IrGraph::build(
+                    &fx.bundle.traces,
+                    &fx.bundle.aliases,
+                    &s.ip2as,
+                    &Config::default(),
+                    &s.rels,
+                    &cones,
+                    wp,
+                    &rec,
+                )
+            });
+        });
     }
     g.finish();
 }

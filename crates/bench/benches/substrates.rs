@@ -85,7 +85,7 @@ fn bench_rel_inference(c: &mut Criterion) {
 
 fn bench_alias(c: &mut Criterion) {
     let fx = bench::Fixture::standard();
-    let observed = alias::observed_addresses(&fx.bundle.traces);
+    let observed = alias::observed_addresses(&fx.bundle.traces, &pool::WorkerPool::new(1));
     let mut g = c.benchmark_group("alias_resolution");
     g.bench_function("midar_style", |b| {
         b.iter(|| alias::resolve_midar(&fx.scenario.net, &observed, 0.9, 7));

@@ -236,7 +236,7 @@ pub fn run_churn(
         // 5. Aliases are re-resolved from scratch: alias sets are global
         // (any changed trace can re-cluster distant interfaces), and the
         // resolver is cheap next to probing.
-        let observed = observed_addresses(&corpus);
+        let observed = observed_addresses(&corpus, &wp);
         let aliases = resolve_midar_with_obs(&net, &observed, 0.9, opts.seed, rec);
 
         // 6. Inference over the spliced corpus, recorded on the session
@@ -265,7 +265,12 @@ pub fn run_churn(
                 full_corpus.len()
             ));
         }
-        let full_aliases = resolve_midar(&net, &observed_addresses(&full_corpus), 0.9, opts.seed);
+        let full_aliases = resolve_midar(
+            &net,
+            &observed_addresses(&full_corpus, &full_wp),
+            0.9,
+            opts.seed,
+        );
         if full_aliases != aliases {
             return Err(format!("epoch {epoch}: alias sets diverge"));
         }

@@ -78,9 +78,9 @@ pub fn write_bundle(
         ..ProbeConfig::default()
     };
     let vp_routers = traceroute::sim::select_vps(&s.net, vps, &[], seed);
-    let traces =
-        traceroute::sim::probe_campaign_with_obs(&s.net, &vp_routers, &probe_cfg, threads, rec);
-    let observed = alias::observed_addresses(&traces);
+    let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
+    let traces = traceroute::sim::probe_campaign_in_pool(&s.net, &vp_routers, &probe_cfg, &wp, rec);
+    let observed = alias::observed_addresses(&traces, &wp);
     let aliases = alias::resolve_midar_with_obs(&s.net, &observed, 0.9, seed, rec);
 
     let mut f = fs::File::create(dir.join(files::TRACES))?;

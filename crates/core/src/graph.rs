@@ -7,25 +7,41 @@
 //! destination ASes the third-party test needs (§6.1.1). Per-IR destination
 //! AS sets apply the reallocated-prefix filter of §4.4.
 //!
-//! # Parallel two-pass build (DESIGN.md §12, pool scheduling §13)
+//! # Parallel build, bucketed by destination AS (DESIGN.md §12, pool §13)
 //!
 //! The build is chunked into tasks on the shared [`pool::WorkerPool`] and
-//! is bit-identical to a serial walk for every thread count:
+//! is bit-identical to a serial walk for every thread count. The one
+//! dimension that multiplies the raw observations is the trace's
+//! destination AS, so the link passes are organised around it:
 //!
 //! 1. **Intern** (pass 0): workers scan disjoint trace shards for responding
-//!    addresses; the union becomes an [`AddrInterner`], whose ids are
-//!    *canonical* (ascending address order) regardless of which shard saw an
-//!    address first. `IfIdx(i)` and interner id `i` are the same number.
-//! 2. **Extract** (pass 1): workers re-walk their trace shards emitting
-//!    compact [`LinkObs`] / destination observations keyed by interned ids.
-//! 3. **Reduce**: shard outputs are concatenated, sorted by their total
-//!    order, and folded. Every accumulator is order-insensitive — link label
-//!    by `min`, origin/destination/predecessor collections are sets — so the
-//!    fold reproduces the serial result no matter how observations were
-//!    distributed over shards.
+//!    addresses and look up each trace's destination AS. The address union
+//!    becomes an [`AddrInterner`], whose ids are *canonical* (ascending
+//!    address order) regardless of which shard saw an address first;
+//!    `IfIdx(i)` and interner id `i` are the same number. Traces are then
+//!    ordered by `(dest AS, trace index)`, one `u64` sort.
+//! 2. **Extract** (pass 1): tasks cover contiguous runs of that order; a
+//!    run of one destination AS inside a task is a *bucket*. Walking a
+//!    bucket's hops costs one interner lookup per hop. Interface → AS facts
+//!    are deduplicated by a task-local stamp array indexed by interface id,
+//!    and adjacencies are packed as `u64` `(pred, dst, label)` keys, sorted
+//!    and deduplicated inside the bucket, where the sort stays in cache.
+//! 3. **Reduce**, in three steps: (a) the global adjacency set, keeping
+//!    each `(pred, dst)` pair's minimum label; (b) links, their origin sets
+//!    and `preds` derived from it — a link's IR and origin are functions
+//!    of its predecessor interface; (c) destination sets scattered bucket
+//!    by bucket in ascending AS order over disjoint IR and interface
+//!    ranges on the pool, a "last pushed is this AS" check removing the
+//!    repeats where one AS's bucket spans two tasks, then bulk-built.
 //! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges
 //!    with private [`RelQueryCache`]s (hit/miss tallies merged in worker
 //!    order), and results are written back in IR order.
+//!
+//! Why the output cannot depend on the thread count: every accumulator is
+//! a set or a minimum, and the destination AS is constant inside a bucket.
+//! Task boundaries move with the thread count, but the set of
+//! `(link, AS)` and `(interface, AS)` facts, and of labelled adjacencies,
+//! does not.
 
 use crate::Config;
 use alias::AliasSets;
@@ -59,7 +75,7 @@ pub enum LinkLabel {
 }
 
 /// A link from an IR to a subsequently-observed interface.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Link {
     /// The subsequent interface.
     pub dst: IfIdx,
@@ -74,7 +90,7 @@ pub struct Link {
 }
 
 /// One inferred router.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ir {
     /// Identifier (index into [`IrGraph::irs`]).
     pub id: IrId,
@@ -111,27 +127,6 @@ pub struct IrGraph {
     pub interner: AddrInterner,
 }
 
-/// One link-relevant observation from a single adjacent-hop pair, in
-/// interned-id space. The derived lexicographic order — `(ir, dst)` first —
-/// is the grouping key of the reduction; the remaining fields only
-/// feed order-insensitive accumulators (min-label, origin/dest/pred sets),
-/// so sorting a concatenation of shard outputs loses nothing.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct LinkObs {
-    /// Source IR (`iface_ir` of the prior hop).
-    ir: u32,
-    /// Destination interface id.
-    dst: u32,
-    /// Table 3 label of this single observation.
-    label: LinkLabel,
-    /// Origin AS of the prior interface (`Asn::NONE` when unannounced).
-    origin: Asn,
-    /// Destination AS of the trace (`Asn::NONE` when unannounced).
-    dest: Asn,
-    /// The prior interface itself (for §6.2 predecessor voting).
-    pred: u32,
-}
-
 /// Chunks `n` items into `batch`-sized pool tasks; returns the task count.
 fn task_count(n: usize, batch: usize) -> usize {
     n.div_ceil(batch)
@@ -142,50 +137,82 @@ fn task_range(n: usize, t: usize, batch: usize) -> (usize, usize) {
     (t * batch, ((t + 1) * batch).min(n))
 }
 
+/// Width of an interface id inside a packed adjacency key.
+const ADJ_ID_BITS: u32 = 31;
+
+/// Packs one adjacency observation as `pred | dst | label` (31 + 31 + 2
+/// bits), so ascending key order is `(pred, dst)` first and, within one
+/// pair, the highest-confidence label first.
+fn pack_adj(pred: u32, dst: u32, label: LinkLabel) -> u64 {
+    (u64::from(pred) << (ADJ_ID_BITS + 2)) | (u64::from(dst) << 2) | label as u64
+}
+
+/// Unpacks `(pred, dst, label)`.
+fn unpack_adj(key: u64) -> (u32, u32, LinkLabel) {
+    let label = match key & 3 {
+        0 => LinkLabel::Nexthop,
+        1 => LinkLabel::Echo,
+        _ => LinkLabel::Multihop,
+    };
+    let dst = ((key >> 2) & ((1 << ADJ_ID_BITS) - 1)) as u32;
+    (((key >> (ADJ_ID_BITS + 2)) as u32), dst, label)
+}
+
+/// The facts one destination-AS bucket contributes to destination sets.
+struct Bucket {
+    /// The traces' destination AS (never `Asn::NONE`: unannounced
+    /// destinations feed links but no destination sets).
+    asn: Asn,
+    /// Interfaces that record `asn`, ascending.
+    ifaces: Vec<u32>,
+    /// Links `(ir << 32) | dst` that record `asn`, ascending.
+    links: Vec<u64>,
+}
+
+/// One extract task's output.
+#[derive(Default)]
+struct Extract {
+    /// Buckets in ascending AS order.
+    buckets: Vec<Bucket>,
+    /// Distinct packed adjacencies, ascending, each `(pred, dst)` pair once
+    /// with its best label.
+    adjs: Vec<u64>,
+}
+
+/// Sorts packed adjacencies and keeps each `(pred, dst)` pair once, with
+/// its minimum (highest-confidence) label — the first in key order.
+fn dedup_adjs(adjs: &mut Vec<u64>) {
+    adjs.sort_unstable();
+    adjs.dedup_by(|later, kept| *later >> 2 == *kept >> 2);
+}
+
+/// Appends `asn` unless it was the last value pushed. Buckets arrive in
+/// ascending AS order, so this keeps every list strictly ascending, also
+/// where one AS's bucket was split over two extract tasks.
+fn push_asn(list: &mut Vec<Asn>, asn: Asn) {
+    if list.last() != Some(&asn) {
+        list.push(asn);
+    }
+}
+
+/// Builds a set from a strictly ascending list (the bulk-build path).
+fn ascending_set(list: Vec<Asn>) -> BTreeSet<Asn> {
+    debug_assert!(
+        list.windows(2).all(|w| w[0] < w[1]),
+        "not strictly ascending"
+    );
+    list.into_iter().collect()
+}
+
 impl IrGraph {
-    /// Builds the graph from a corpus (§4), without telemetry.
-    pub fn build(
-        traces: &[Trace],
-        aliases: &AliasSets,
-        ip2as: &IpToAs,
-        cfg: &Config,
-        rels: &AsRelationships,
-        cones: &CustomerCones,
-    ) -> IrGraph {
-        Self::build_with_obs(
-            traces,
-            aliases,
-            ip2as,
-            cfg,
-            rels,
-            cones,
-            &obs::Recorder::disabled(),
-        )
-    }
-
-    /// Builds the graph from a corpus (§4) on an ad-hoc worker pool sized
-    /// from `cfg.threads`, recording worker counts and relationship-cache
-    /// telemetry on `rec`.
-    pub fn build_with_obs(
-        traces: &[Trace],
-        aliases: &AliasSets,
-        ip2as: &IpToAs,
-        cfg: &Config,
-        rels: &AsRelationships,
-        cones: &CustomerCones,
-        rec: &obs::Recorder,
-    ) -> IrGraph {
-        let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
-        Self::build_in_pool(traces, aliases, ip2as, cfg, rels, cones, &wp, rec)
-    }
-
-    /// [`IrGraph::build_with_obs`] on a caller-provided worker pool — the
-    /// entry the pipeline uses so all phases share one pool. Each parallel
-    /// pass is chunked into [`pool::WorkerPool::batch_size`]-sized tasks
-    /// (see the module docs for the sharding scheme); task outputs rejoin
-    /// in task-index order, so stealing never reaches the output.
+    /// Builds the graph from a corpus (§4) on the shared worker pool,
+    /// recording spans, worker counts and relationship-cache telemetry on
+    /// `rec`. Each parallel pass is chunked into
+    /// [`pool::WorkerPool::batch_size`]-sized tasks (see the module docs);
+    /// task outputs rejoin in task-index order, so neither the thread count
+    /// nor stealing reaches the output.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_in_pool(
+    pub fn build(
         traces: &[Trace],
         aliases: &AliasSets,
         ip2as: &IpToAs,
@@ -199,30 +226,77 @@ impl IrGraph {
             obs::names::EXEC_GRAPH_WORKERS,
             wp.worker_cap(traces.len()) as u64,
         );
+        let (mut g, mut order) = Self::skeleton(traces, aliases, ip2as, wp, rec);
+
+        let span = rec.span(obs::names::PHASE1_LINKS);
+        order.sort_unstable();
+        let extracts = g.extract(traces, &order, wp);
+        drop(span);
+
+        let span = rec.span(obs::names::PHASE1_REDUCE);
+        g.reduce(extracts, wp);
+        drop(span);
+
+        g.annotate_irs(cfg, rels, cones, wp, rec);
+        g
+    }
+
+    /// Pass 0 and the serial IR numbering: interns every responding
+    /// address, resolves interface origins, and turns alias groups into
+    /// IRs. Also returns one `(dest AS << 32) | trace index` key per trace
+    /// with a responsive hop, unsorted.
+    fn skeleton(
+        traces: &[Trace],
+        aliases: &AliasSets,
+        ip2as: &IpToAs,
+        wp: &pool::WorkerPool,
+        rec: &obs::Recorder,
+    ) -> (IrGraph, Vec<u64>) {
+        assert!(
+            u32::try_from(traces.len()).is_ok(),
+            "trace indices must fit in 32 bits"
+        );
         let mut g = IrGraph::default();
 
-        // ---- pass 0: intern every address observed as a responding hop.
-        // Shard-local sort+dedup keeps the merge small; the interner re-sorts
-        // the union, so ids depend only on the observed address *set*.
+        // ---- pass 0: intern every address observed as a responding hop,
+        // and look up each trace's destination AS. Shard-local sort+dedup
+        // keeps the merge small; the interner re-sorts the union, so ids
+        // depend only on the observed address *set*.
         let span = rec.span(obs::names::PHASE1_INTERN);
         let trace_batch = wp.batch_size(traces.len());
-        let addr_shards = wp.run(
+        let shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
             task_count(traces.len(), trace_batch),
             |t| {
                 let (lo, hi) = task_range(traces.len(), t, trace_batch);
-                let mut addrs: Vec<u32> = traces[lo..hi]
-                    .iter()
-                    .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
-                    .collect();
+                let mut addrs: Vec<u32> = Vec::new();
+                let mut keys: Vec<u64> = Vec::new();
+                for (i, tr) in traces[lo..hi].iter().enumerate() {
+                    let before = addrs.len();
+                    addrs.extend(tr.responsive().map(|(_, h)| h.addr));
+                    if addrs.len() > before {
+                        let dest_as = ip2as.lookup(tr.dst).asn;
+                        keys.push((u64::from(dest_as.0) << 32) | (lo + i) as u64);
+                    }
+                }
                 addrs.sort_unstable();
                 addrs.dedup();
-                addrs
+                (addrs, keys)
             },
         );
-        g.interner = AddrInterner::from_addrs(addr_shards.into_iter().flatten());
+        let mut order: Vec<u64> = Vec::new();
+        let mut addrs: Vec<u32> = Vec::new();
+        for (a, k) in shards {
+            addrs.extend(a);
+            order.extend(k);
+        }
+        g.interner = AddrInterner::from_addrs(addrs);
         g.iface_addrs = g.interner.addrs().to_vec();
         let n_ifaces = g.iface_addrs.len();
+        assert!(
+            n_ifaces <= 1 << ADJ_ID_BITS,
+            "interface ids must fit in {ADJ_ID_BITS} bits"
+        );
         drop(span);
 
         // Origin resolution per interface: independent longest-prefix
@@ -242,8 +316,6 @@ impl IrGraph {
             },
         );
         g.iface_origin = origin_shards.into_iter().flatten().collect();
-        g.iface_dests = vec![BTreeSet::new(); n_ifaces];
-        g.preds = vec![BTreeMap::new(); n_ifaces];
         g.iface_ir = vec![IrId(u32::MAX); n_ifaces];
         drop(span);
 
@@ -279,137 +351,231 @@ impl IrGraph {
                 dests: BTreeSet::new(),
             });
         }
-
         drop(span);
 
-        // ---- pass 1: extract link/destination observations per trace
-        // shard, entirely in interned-id space.
-        let span = rec.span(obs::names::PHASE1_LINKS);
-        let graph = &g;
-        let obs_shards = wp.run(
+        (g, order)
+    }
+
+    /// Pass 1: walks the traces in `order` — `(dest AS, trace index)`
+    /// ascending — in contiguous task ranges. Each run of one destination
+    /// AS inside a task is a bucket: its interfaces are deduplicated by a
+    /// stamp array, its adjacencies by a cache-resident sort.
+    fn extract(&self, traces: &[Trace], order: &[u64], wp: &pool::WorkerPool) -> Vec<Extract> {
+        let batch = wp.batch_size(order.len());
+        wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
-            task_count(traces.len(), trace_batch),
+            task_count(order.len(), batch),
             |t| {
-                let (lo, hi) = task_range(traces.len(), t, trace_batch);
-                let mut links: Vec<LinkObs> = Vec::new();
-                let mut dest_obs: Vec<(u32, Asn)> = Vec::new();
-                for t in &traces[lo..hi] {
-                    let hops: Vec<(u8, traceroute::Hop)> = t.responsive().collect();
-                    if hops.is_empty() {
-                        continue;
-                    }
-                    let dest_as = ip2as.lookup(t.dst).asn;
-
-                    // Destination AS sets (§4.4): every responding interface
-                    // records the trace's destination AS — except an Echo Reply
-                    // last hop, whose "destination" is just the probed address.
-                    let last = hops.len() - 1;
-                    if dest_as.is_some() {
-                        for (i, &(_, h)) in hops.iter().enumerate() {
-                            if i == last && h.reply == ReplyType::EchoReply {
-                                continue;
+                let (lo, hi) = task_range(order.len(), t, batch);
+                let order = &order[lo..hi];
+                let mut out = Extract::default();
+                // stamp[i] == bucket number: interface i already recorded
+                // this bucket's AS. Zero-initialised pages stay untouched
+                // until an interface is seen.
+                let mut stamp = vec![0u32; self.iface_addrs.len()];
+                let mut bucket_no = 0u32;
+                let mut adjs: Vec<u64> = Vec::new();
+                let mut k = 0;
+                while k < order.len() {
+                    let asn = Asn((order[k] >> 32) as u32);
+                    let end = k + order[k..].partition_point(|&key| (key >> 32) as u32 == asn.0);
+                    bucket_no += 1;
+                    let record = asn.is_some();
+                    let mut ifaces: Vec<u32> = Vec::new();
+                    let mut mark = |i: u32| {
+                        if stamp[i as usize] != bucket_no {
+                            stamp[i as usize] = bucket_no;
+                            ifaces.push(i);
+                        }
+                    };
+                    adjs.clear();
+                    for &key in &order[k..end] {
+                        // Hop state: (ttl, interface id, reply) of the
+                        // previous responsive hop.
+                        let mut prev: Option<(u8, u32, ReplyType)> = None;
+                        for (ttl, h) in traces[key as u32 as usize].responsive() {
+                            let id = self.interner.id(h.addr).expect("hop addr interned");
+                            if let Some((prev_ttl, prev_id, _)) = prev {
+                                // Not the last hop: it records the AS.
+                                if record {
+                                    mark(prev_id);
+                                }
+                                let (px, py) = (prev_id as usize, id as usize);
+                                // Both sides on one IR (or a repeated
+                                // address): not a link.
+                                if self.iface_ir[px] != self.iface_ir[py] {
+                                    let label = link_label(
+                                        ttl - prev_ttl,
+                                        self.iface_origin[px],
+                                        self.iface_origin[py],
+                                        h.reply,
+                                    );
+                                    adjs.push(pack_adj(prev_id, id, label));
+                                }
                             }
-                            let ifidx = graph.interner.id(h.addr).expect("hop addr interned");
-                            dest_obs.push((ifidx, dest_as));
+                            prev = Some((ttl, id, h.reply));
+                        }
+                        // §4.4: an Echo Reply last hop's "destination" is
+                        // just the probed address, so it records nothing.
+                        if let Some((_, id, reply)) = prev {
+                            if record && reply != ReplyType::EchoReply {
+                                mark(id);
+                            }
                         }
                     }
-
-                    // Links between adjacent responsive hops.
-                    for pair in hops.windows(2) {
-                        let ((ttl_x, x), (ttl_y, y)) = (pair[0], pair[1]);
-                        if x.addr == y.addr {
-                            continue;
-                        }
-                        let xi = graph.interner.id(x.addr).expect("hop addr interned");
-                        let yi = graph.interner.id(y.addr).expect("hop addr interned");
-                        let ir_x = graph.iface_ir[xi as usize];
-                        if ir_x == graph.iface_ir[yi as usize] {
-                            continue; // both sides on one IR: not a link
-                        }
-                        let dist = ttl_y - ttl_x;
-                        let ox = graph.iface_origin[xi as usize];
-                        let oy = graph.iface_origin[yi as usize];
-                        links.push(LinkObs {
-                            ir: ir_x.0,
-                            dst: yi,
-                            label: link_label(dist, ox, oy, y.reply),
-                            origin: ox.asn,
-                            dest: dest_as,
-                            pred: xi,
-                        });
+                    dedup_adjs(&mut adjs);
+                    out.adjs.extend_from_slice(&adjs);
+                    if record {
+                        let mut links: Vec<u64> = adjs
+                            .iter()
+                            .map(|&key| {
+                                let (pred, dst, _) = unpack_adj(key);
+                                (u64::from(self.iface_ir[pred as usize].0) << 32) | u64::from(dst)
+                            })
+                            .collect();
+                        links.sort_unstable();
+                        links.dedup();
+                        ifaces.sort_unstable();
+                        out.buckets.push(Bucket { asn, ifaces, links });
                     }
+                    k = end;
                 }
-                // Local dedup: repeated observations only re-feed idempotent
-                // accumulators, so dropping them here shrinks the merge.
-                links.sort_unstable();
-                links.dedup();
-                dest_obs.sort_unstable();
-                dest_obs.dedup();
-                (links, dest_obs)
+                dedup_adjs(&mut out.adjs);
+                out
             },
-        );
+        )
+    }
 
-        drop(span);
+    /// The reduce: (1) the global adjacency set with minimum labels;
+    /// (2) links, their origins and `preds` from it — `ir` and `origin`
+    /// are functions of the predecessor interface; (3) destination sets,
+    /// scattered bucket by bucket in ascending AS order over disjoint IR
+    /// and interface ranges on the pool.
+    fn reduce(&mut self, extracts: Vec<Extract>, wp: &pool::WorkerPool) {
+        // (1) Each task's adjacencies are already deduplicated; merging
+        // only has to resolve pairs seen by several tasks.
+        let mut adjs: Vec<u64> = Vec::new();
+        for ex in &extracts {
+            adjs.extend_from_slice(&ex.adjs);
+        }
+        dedup_adjs(&mut adjs);
 
-        // ---- reduction: concatenate shard outputs, restore the total
-        // order, and fold — equal inputs in any shard distribution sort to
-        // the same sequence, so the result is shard-count-invariant.
-        let span = rec.span(obs::names::PHASE1_REDUCE);
-        let mut link_obs: Vec<LinkObs> = Vec::new();
-        let mut dest_obs: Vec<(u32, Asn)> = Vec::new();
-        for (l, d) in obs_shards {
-            link_obs.extend(l);
-            dest_obs.extend(d);
-        }
-        dest_obs.sort_unstable();
-        dest_obs.dedup();
-        for (ifidx, asn) in dest_obs {
-            g.iface_dests[ifidx as usize].insert(asn);
-        }
-        link_obs.sort_unstable();
-        link_obs.dedup();
+        // (2) Group by (ir, dst): runs come out in ascending (ir, dst)
+        // order, so each IR's link vector is sorted by destination.
+        let n_ifaces = self.iface_addrs.len();
+        self.preds = vec![BTreeMap::new(); n_ifaces];
+        let mut edges: Vec<(u32, u32, u32, LinkLabel)> = adjs
+            .iter()
+            .map(|&key| {
+                let (pred, dst, label) = unpack_adj(key);
+                (self.iface_ir[pred as usize].0, dst, pred, label)
+            })
+            .collect();
+        drop(adjs);
+        edges.sort_unstable();
         let mut k = 0;
-        while k < link_obs.len() {
-            let (ir, dst) = (link_obs[k].ir, link_obs[k].dst);
-            let mut label = link_obs[k].label;
+        while k < edges.len() {
+            let (ir, dst, _, mut label) = edges[k];
             let mut origins: BTreeSet<Asn> = BTreeSet::new();
-            let mut dests: BTreeSet<Asn> = BTreeSet::new();
-            while k < link_obs.len() && (link_obs[k].ir, link_obs[k].dst) == (ir, dst) {
-                let o = link_obs[k];
-                label = label.min(o.label); // keep the highest confidence
-                if o.origin.is_some() {
-                    origins.insert(o.origin);
+            let mut preds: Vec<IfIdx> = Vec::new();
+            while k < edges.len() && (edges[k].0, edges[k].1) == (ir, dst) {
+                let (_, _, pred, l) = edges[k];
+                label = label.min(l); // keep the highest confidence
+                let origin = self.iface_origin[pred as usize].asn;
+                if origin.is_some() {
+                    origins.insert(origin);
                 }
-                if o.dest.is_some() {
-                    dests.insert(o.dest);
-                }
-                // Predecessor record for §6.2 interface voting.
-                g.preds[dst as usize]
-                    .entry(IrId(ir))
-                    .or_default()
-                    .insert(IfIdx(o.pred));
+                preds.push(IfIdx(pred));
                 k += 1;
             }
-            // Runs arrive in ascending (ir, dst) order, so each IR's link
-            // vector comes out sorted by destination interface.
-            g.irs[ir as usize].links.push(Link {
+            // Predecessor record for §6.2 interface voting.
+            self.preds[dst as usize].insert(IrId(ir), preds.into_iter().collect());
+            self.irs[ir as usize].links.push(Link {
                 dst: IfIdx(dst),
                 label,
                 origins,
-                dests,
+                dests: BTreeSet::new(),
             });
         }
+        drop(edges);
 
-        drop(span);
+        // (3) Destination sets. Every bucket is visited in ascending AS
+        // order by every task; a task keeps only the facts in its range.
+        let buckets: Vec<&Bucket> = extracts.iter().flat_map(|ex| &ex.buckets).collect();
+        let n_irs = self.irs.len();
+        let mut link_off = Vec::with_capacity(n_irs + 1);
+        link_off.push(0usize);
+        for ir in &self.irs {
+            link_off.push(link_off[link_off.len() - 1] + ir.links.len());
+        }
+        let graph = &*self;
+        let ir_batch = wp.batch_size(n_irs);
+        let link_dests = wp.run(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            task_count(n_irs, ir_batch),
+            |t| {
+                let (lo, hi) = task_range(n_irs, t, ir_batch);
+                let base = link_off[lo];
+                let mut lists: Vec<Vec<Asn>> = vec![Vec::new(); link_off[hi] - base];
+                let (key_lo, key_hi) = ((lo as u64) << 32, (hi as u64) << 32);
+                for b in &buckets {
+                    let from = b.links.partition_point(|&key| key < key_lo);
+                    let to = b.links.partition_point(|&key| key < key_hi);
+                    for &key in &b.links[from..to] {
+                        let ir = (key >> 32) as usize;
+                        let pos = graph.irs[ir]
+                            .links
+                            .binary_search_by_key(&(key as u32), |l| l.dst.0)
+                            .expect("bucket link derived from an adjacency");
+                        push_asn(&mut lists[link_off[ir] + pos - base], b.asn);
+                    }
+                }
+                lists.into_iter().map(ascending_set).collect::<Vec<_>>()
+            },
+        );
+        let iface_batch = wp.batch_size(n_ifaces);
+        let iface_dests = wp.run(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            task_count(n_ifaces, iface_batch),
+            |t| {
+                let (lo, hi) = task_range(n_ifaces, t, iface_batch);
+                let mut lists: Vec<Vec<Asn>> = vec![Vec::new(); hi - lo];
+                for b in &buckets {
+                    let from = b.ifaces.partition_point(|&i| (i as usize) < lo);
+                    let to = b.ifaces.partition_point(|&i| (i as usize) < hi);
+                    for &i in &b.ifaces[from..to] {
+                        push_asn(&mut lists[i as usize - lo], b.asn);
+                    }
+                }
+                lists.into_iter().map(ascending_set).collect::<Vec<_>>()
+            },
+        );
+        drop(buckets);
+        let mut sets = link_dests.into_iter().flatten();
+        for router in &mut self.irs {
+            for link in &mut router.links {
+                link.dests = sets.next().expect("one destination set per link");
+            }
+        }
+        self.iface_dests = iface_dests.into_iter().flatten().collect();
+    }
 
-        // ---- per-IR metadata: origin-AS unions and §4.4-filtered
-        // destination sets, chunked over the IR space. Each task owns a
-        // private relationship cache; hit/miss tallies are
-        // execution-dependent (the split varies with the thread count), so
-        // they merge into the exec class in task order.
+    /// Per-IR metadata: origin-AS unions and §4.4-filtered destination
+    /// sets, chunked over the IR space. Each task owns a private
+    /// relationship cache; hit/miss tallies are execution-dependent (the
+    /// split varies with the thread count), so they merge into the exec
+    /// class in task order.
+    fn annotate_irs(
+        &mut self,
+        cfg: &Config,
+        rels: &AsRelationships,
+        cones: &CustomerCones,
+        wp: &pool::WorkerPool,
+        rec: &obs::Recorder,
+    ) {
         let span = rec.span(obs::names::PHASE1_METADATA);
-        let n_irs = g.irs.len();
-        let graph = &g;
+        let n_irs = self.irs.len();
+        let graph = &*self;
         let ir_batch = wp.batch_size(n_irs);
         let meta_shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
@@ -445,13 +611,11 @@ impl IrGraph {
             merged.merge(&sheet);
         }
         rec.absorb(&merged);
-        for (ir, (origins, dests)) in g.irs.iter_mut().zip(meta) {
+        for (ir, (origins, dests)) in self.irs.iter_mut().zip(meta) {
             ir.origins = origins;
             ir.dests = dests;
         }
         drop(span);
-
-        g
     }
 
     /// IRs with no outgoing links (phase 2 targets).
@@ -576,10 +740,22 @@ mod tests {
     const TE: ReplyType = ReplyType::TimeExceeded;
     const ER: ReplyType = ReplyType::EchoReply;
 
+    /// The graph at `threads` workers, telemetry off.
+    fn build_at(
+        traces: &[Trace],
+        aliases: &AliasSets,
+        ip2as: &IpToAs,
+        rels: &AsRelationships,
+        threads: usize,
+    ) -> IrGraph {
+        let cones = CustomerCones::compute(rels);
+        let wp = pool::WorkerPool::new(threads);
+        let rec = obs::Recorder::disabled();
+        IrGraph::build(traces, aliases, ip2as, &cfg(), rels, &cones, &wp, &rec)
+    }
+
     fn build(traces: &[Trace], aliases: &AliasSets) -> IrGraph {
-        let rels = AsRelationships::new();
-        let cones = CustomerCones::compute(&rels);
-        IrGraph::build(traces, aliases, &oracle(), &cfg(), &rels, &cones)
+        build_at(traces, aliases, &oracle(), &AsRelationships::new(), 1)
     }
 
     #[test]
@@ -787,17 +963,9 @@ mod tests {
             traces.push(tr(leaf, &[(1, a("10.1.0.2"), TE), (2, leaf, ER)]));
         }
         let rels = AsRelationships::new();
-        let cones = CustomerCones::compute(&rels);
-        let build_at = |threads: usize| {
-            let cfg = Config {
-                threads,
-                ..Config::default()
-            };
-            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &rels, &cones)
-        };
-        let base = build_at(1);
+        let base = build_at(&traces, &aliases, &oracle(), &rels, 1);
         for threads in [2, 3, 8] {
-            let g = build_at(threads);
+            let g = build_at(&traces, &aliases, &oracle(), &rels, threads);
             assert_eq!(g.interner, base.interner, "threads={threads}");
             assert_eq!(g.iface_addrs, base.iface_addrs, "threads={threads}");
             assert_eq!(g.iface_origin, base.iface_origin, "threads={threads}");
@@ -814,13 +982,13 @@ mod tests {
 
     #[test]
     fn empty_corpus_builds_at_any_thread_count() {
-        let rels = AsRelationships::new();
-        let cones = CustomerCones::compute(&rels);
-        let cfg = Config {
-            threads: 8,
-            ..Config::default()
-        };
-        let g = IrGraph::build(&[], &AliasSets::empty(), &oracle(), &cfg, &rels, &cones);
+        let g = build_at(
+            &[],
+            &AliasSets::empty(),
+            &oracle(),
+            &AsRelationships::new(),
+            8,
+        );
         assert!(g.irs.is_empty());
         assert!(g.iface_addrs.is_empty());
     }
@@ -839,18 +1007,16 @@ mod tests {
         ];
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        let cfg = Config {
-            threads: 2,
-            ..Config::default()
-        };
         let rec = obs::Recorder::new(false);
-        IrGraph::build_with_obs(
+        let wp = pool::WorkerPool::with_recorder(2, rec.clone());
+        IrGraph::build(
             &traces,
             &AliasSets::empty(),
             &oracle(),
-            &cfg,
+            &cfg(),
             &rels,
             &cones,
+            &wp,
             &rec,
         );
         let report = rec.report();
@@ -871,5 +1037,262 @@ mod tests {
         )];
         let g = build(&traces, &AliasSets::empty());
         assert_eq!(g.link_count(), 1);
+    }
+
+    /// The emit/sort/fold build as a reference, and the property test that
+    /// holds the bucketed build to it.
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One observation of the emit/sort/fold build that [`IrGraph::build`]
+        /// replaced. The derived order — `(ir, dst)` first — is the fold's
+        /// grouping key.
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct LinkObs {
+            ir: u32,
+            dst: u32,
+            label: LinkLabel,
+            origin: Asn,
+            dest: Asn,
+            pred: u32,
+        }
+
+        /// The reference phase 1: the same interning, IR numbering and per-IR
+        /// metadata, but links, `preds` and destination sets come from one
+        /// serial walk that emits every observation, sorts them all and folds.
+        fn reference_build(
+            traces: &[Trace],
+            aliases: &AliasSets,
+            ip2as: &IpToAs,
+            rels: &AsRelationships,
+        ) -> IrGraph {
+            let cones = CustomerCones::compute(rels);
+            let wp = pool::WorkerPool::new(1);
+            let rec = obs::Recorder::disabled();
+            let (mut g, _) = IrGraph::skeleton(traces, aliases, ip2as, &wp, &rec);
+            let mut links: Vec<LinkObs> = Vec::new();
+            let mut dest_obs: Vec<(u32, Asn)> = Vec::new();
+            for t in traces {
+                let hops: Vec<(u8, traceroute::Hop)> = t.responsive().collect();
+                if hops.is_empty() {
+                    continue;
+                }
+                let dest_as = ip2as.lookup(t.dst).asn;
+                let last = hops.len() - 1;
+                if dest_as.is_some() {
+                    for (i, &(_, h)) in hops.iter().enumerate() {
+                        if i == last && h.reply == ReplyType::EchoReply {
+                            continue;
+                        }
+                        dest_obs.push((g.interner.id(h.addr).unwrap(), dest_as));
+                    }
+                }
+                for pair in hops.windows(2) {
+                    let ((ttl_x, x), (ttl_y, y)) = (pair[0], pair[1]);
+                    if x.addr == y.addr {
+                        continue;
+                    }
+                    let xi = g.interner.id(x.addr).unwrap();
+                    let yi = g.interner.id(y.addr).unwrap();
+                    let ir_x = g.iface_ir[xi as usize];
+                    if ir_x == g.iface_ir[yi as usize] {
+                        continue;
+                    }
+                    let ox = g.iface_origin[xi as usize];
+                    let oy = g.iface_origin[yi as usize];
+                    links.push(LinkObs {
+                        ir: ir_x.0,
+                        dst: yi,
+                        label: link_label(ttl_y - ttl_x, ox, oy, y.reply),
+                        origin: ox.asn,
+                        dest: dest_as,
+                        pred: xi,
+                    });
+                }
+            }
+            g.iface_dests = vec![BTreeSet::new(); g.iface_addrs.len()];
+            g.preds = vec![BTreeMap::new(); g.iface_addrs.len()];
+            dest_obs.sort_unstable();
+            dest_obs.dedup();
+            for (ifidx, asn) in dest_obs {
+                g.iface_dests[ifidx as usize].insert(asn);
+            }
+            links.sort_unstable();
+            links.dedup();
+            let mut k = 0;
+            while k < links.len() {
+                let (ir, dst) = (links[k].ir, links[k].dst);
+                let mut label = links[k].label;
+                let mut origins: BTreeSet<Asn> = BTreeSet::new();
+                let mut dests: BTreeSet<Asn> = BTreeSet::new();
+                while k < links.len() && (links[k].ir, links[k].dst) == (ir, dst) {
+                    let o = links[k];
+                    label = label.min(o.label);
+                    if o.origin.is_some() {
+                        origins.insert(o.origin);
+                    }
+                    if o.dest.is_some() {
+                        dests.insert(o.dest);
+                    }
+                    g.preds[dst as usize]
+                        .entry(IrId(ir))
+                        .or_default()
+                        .insert(IfIdx(o.pred));
+                    k += 1;
+                }
+                g.irs[ir as usize].links.push(Link {
+                    dst: IfIdx(dst),
+                    label,
+                    origins,
+                    dests,
+                });
+            }
+            g.annotate_irs(&cfg(), rels, &cones, &wp, &rec);
+            g
+        }
+
+        /// 10.N.0.0/16 → AS N for N in 1..=6; 172.16/16 is unannounced.
+        fn six_nets() -> IpToAs {
+            IpToAs::from_pairs(
+                (1..=6u32).map(|n| (format!("10.{n}.0.0/16").parse::<Prefix>().unwrap(), Asn(n))),
+            )
+        }
+
+        fn rels() -> AsRelationships {
+            let mut r = AsRelationships::new();
+            r.add_p2p(Asn(1), Asn(2));
+            r.add_p2c(Asn(1), Asn(3));
+            r.add_p2c(Asn(2), Asn(4));
+            r.add_p2c(Asn(3), Asn(5));
+            r
+        }
+
+        /// A few dozen hosts per network, so addresses recur across traces.
+        fn addr_strategy() -> impl Strategy<Value = u32> {
+            (1u32..=7, 0u32..48).prop_map(|(net, host)| {
+                if net == 7 {
+                    0xAC10_0000 + host
+                } else {
+                    0x0A00_0000 + (net << 16) + host
+                }
+            })
+        }
+
+        /// One generated hop slot.
+        #[derive(Clone, Debug)]
+        enum HopGen {
+            /// A responsive hop.
+            Addr(u32, ReplyType),
+            /// The previous responsive address again.
+            Repeat,
+            /// The previous address's alias partner (`addr ^ 1`): with
+            /// [`paired_aliases`], two adjacent hops on one IR.
+            Partner,
+            /// No answer.
+            Gap,
+        }
+
+        fn hop_strategy() -> impl Strategy<Value = HopGen> {
+            let reply = prop_oneof![
+                5 => Just(ReplyType::TimeExceeded),
+                1 => Just(ReplyType::EchoReply),
+                1 => Just(ReplyType::DestUnreachable),
+            ];
+            prop_oneof![
+                6 => (addr_strategy(), reply).prop_map(|(a, r)| HopGen::Addr(a, r)),
+                1 => Just(HopGen::Repeat),
+                1 => Just(HopGen::Partner),
+                2 => Just(HopGen::Gap),
+            ]
+        }
+
+        prop_compose! {
+            /// A trace; three in ten end with an Echo Reply from the
+            /// destination itself.
+            fn trace_strategy()(
+                dst in addr_strategy(),
+                slots in proptest::collection::vec(hop_strategy(), 1..10),
+                echo_roll in 0u8..10,
+            ) -> Trace {
+                let mut hops: Vec<Option<Hop>> = Vec::new();
+                let mut prev: Option<u32> = None;
+                for slot in slots {
+                    let hop = match (slot, prev) {
+                        (HopGen::Addr(addr, reply), _) => Some(Hop { addr, reply }),
+                        (HopGen::Repeat, Some(p)) => Some(Hop { addr: p, reply: TE }),
+                        (HopGen::Partner, Some(p)) => Some(Hop { addr: p ^ 1, reply: TE }),
+                        _ => None,
+                    };
+                    if let Some(h) = hop {
+                        prev = Some(h.addr);
+                    }
+                    hops.push(hop);
+                }
+                if echo_roll < 3 {
+                    hops.push(Some(Hop { addr: dst, reply: ER }));
+                }
+                Trace {
+                    monitor: "vp".into(),
+                    src: 0x0A01_00FE,
+                    dst,
+                    hops,
+                    stop: StopReason::GapLimit,
+                }
+            }
+        }
+
+        /// Corpora with unannounced destinations (the `Asn::NONE` bucket),
+        /// Echo Reply last hops, repeated and same-IR adjacent hops, and one
+        /// heavy destination AS: every third trace is sent into AS1, more
+        /// traces than a pool batch at 2 or 8 threads, so that bucket is
+        /// split over extract tasks.
+        fn corpus_strategy() -> impl Strategy<Value = Vec<Trace>> {
+            proptest::collection::vec(trace_strategy(), 1..60).prop_map(|mut traces| {
+                for t in traces.iter_mut().step_by(3) {
+                    t.dst = 0x0A01_0000 | (t.dst & 0xff);
+                }
+                traces
+            })
+        }
+
+        /// Every observed even address grouped with its `^ 1` partner.
+        fn paired_aliases(traces: &[Trace]) -> AliasSets {
+            let observed: BTreeSet<u32> = traces
+                .iter()
+                .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+                .collect();
+            AliasSets::from_groups(
+                observed
+                    .iter()
+                    .filter(|&&a| a & 1 == 0 && observed.contains(&(a | 1)))
+                    .map(|&a| BTreeSet::from([a, a | 1])),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The bucketed extract and three-step reduce equal the
+            /// emit/sort/fold reference in every field, at every thread
+            /// count.
+            #[test]
+            fn build_matches_the_emit_sort_fold_reference(traces in corpus_strategy()) {
+                let (ip2as, r) = (six_nets(), rels());
+                for aliases in [AliasSets::empty(), paired_aliases(&traces)] {
+                    let want = reference_build(&traces, &aliases, &ip2as, &r);
+                    for threads in [1usize, 2, 8] {
+                        let g = build_at(&traces, &aliases, &ip2as, &r, threads);
+                        prop_assert_eq!(&g.interner, &want.interner, "threads={}", threads);
+                        prop_assert_eq!(&g.iface_addrs, &want.iface_addrs, "threads={}", threads);
+                        prop_assert_eq!(&g.iface_origin, &want.iface_origin, "threads={}", threads);
+                        prop_assert_eq!(&g.iface_ir, &want.iface_ir, "threads={}", threads);
+                        prop_assert_eq!(&g.iface_dests, &want.iface_dests, "threads={}", threads);
+                        prop_assert_eq!(&g.preds, &want.preds, "threads={}", threads);
+                        prop_assert_eq!(&g.irs, &want.irs, "threads={}", threads);
+                    }
+                }
+            }
+        }
     }
 }

@@ -159,7 +159,7 @@ impl Bdrmapit {
         let cones = CustomerCones::compute(rels);
         let graph = {
             let _span = self.obs.span(names::PHASE_GRAPH);
-            let graph = IrGraph::build_in_pool(
+            let graph = IrGraph::build(
                 traces, aliases, ip2as, &self.cfg, rels, &cones, &wp, &self.obs,
             );
             self.obs.add(names::GRAPH_IRS, graph.irs.len() as u64);

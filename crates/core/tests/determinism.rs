@@ -186,7 +186,8 @@ proptest! {
         let aliases = paired_aliases(&traces);
         let build = |threads: usize| {
             let cfg = Config { threads, ..Config::default() };
-            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones)
+            let wp = pool::WorkerPool::new(threads);
+            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp, &obs::Recorder::disabled())
         };
         let serial = build(1);
         for threads in [2usize, 8] {
@@ -216,7 +217,9 @@ proptest! {
         let r = rels();
         let cones = CustomerCones::compute(&r);
         for aliases in [AliasSets::empty(), paired_aliases(&traces)] {
-            let g = IrGraph::build(&traces, &aliases, &oracle(), &Config::default(), &r, &cones);
+            let cfg = Config::default();
+            let wp = pool::WorkerPool::new(cfg.threads);
+            let g = IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp, &obs::Recorder::disabled());
             let levels = wavefront_levels(&g.irs, &g.iface_ir);
 
             let mut level_of: Vec<Option<usize>> = vec![None; g.irs.len()];

@@ -27,7 +27,7 @@ fn run_pipeline(seed: u64, vps: usize) -> Pipeline {
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-    let observed = observed_addresses(&traces);
+    let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
     let aliases = resolve_midar(&net, &observed, 0.9, seed);
 
     let result = Bdrmapit::new(Config::default()).run(&traces, &aliases, &ip2as, &rels);
@@ -148,7 +148,7 @@ fn last_hop_phase_annotates_firewalled_edges() {
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-    let observed = observed_addresses(&traces);
+    let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
     let aliases = resolve_midar(&net, &observed, 0.9, 23);
 
     let with = Bdrmapit::new(Config::default()).run(&traces, &aliases, &ip2as, &rels);

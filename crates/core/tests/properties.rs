@@ -73,6 +73,27 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Trace>> {
     proptest::collection::vec(trace_strategy(), 1..40)
 }
 
+/// The phase-1 graph at the default configuration, serially.
+fn build(
+    traces: &[Trace],
+    aliases: &AliasSets,
+    r: &AsRelationships,
+    cones: &CustomerCones,
+) -> IrGraph {
+    let cfg = Config::default();
+    let wp = pool::WorkerPool::new(1);
+    IrGraph::build(
+        traces,
+        aliases,
+        &oracle(),
+        &cfg,
+        r,
+        cones,
+        &wp,
+        &obs::Recorder::disabled(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -80,7 +101,7 @@ proptest! {
     fn graph_construction_invariants(traces in corpus_strategy()) {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let g = IrGraph::build(&traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones);
+        let g = build(&traces, &AliasSets::empty(), &r, &cones);
 
         // Every responsive address has exactly one interface and one IR.
         let observed: BTreeSet<u32> = traces
@@ -160,8 +181,8 @@ proptest! {
         let aliases = AliasSets::from_groups([BTreeSet::from([a, b])]);
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let with = IrGraph::build(&traces, &aliases, &oracle(), &Config::default(), &r, &cones);
-        let without = IrGraph::build(&traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones);
+        let with = build(&traces, &aliases, &r, &cones);
+        let without = build(&traces, &AliasSets::empty(), &r, &cones);
         prop_assert_eq!(with.ir_of_addr(a), with.ir_of_addr(b));
         prop_assert_eq!(with.irs.len() + 1, without.irs.len());
     }

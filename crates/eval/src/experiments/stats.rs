@@ -116,6 +116,8 @@ pub fn corpus_stats(s: &Scenario, bundle: &CorpusBundle) -> CorpusStats {
         &Config::default(),
         &s.rels,
         &cones,
+        &s.worker_pool(),
+        &obs::Recorder::disabled(),
     );
     let dist = graph.label_distribution();
     let get = |l: LinkLabel| dist.get(&l).copied().unwrap_or(0);

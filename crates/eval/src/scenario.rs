@@ -138,7 +138,7 @@ impl Scenario {
         let probe_cfg = ProbeConfig::default();
         let wp = self.worker_pool();
         let traces = probe_campaign_in_pool(&self.net, vps, &probe_cfg, &wp, &self.obs);
-        let observed = observed_addresses(&traces);
+        let observed = observed_addresses(&traces, &wp);
         let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
         CorpusBundle {
             traces,
@@ -161,7 +161,7 @@ impl Scenario {
             let _span = self.obs.span(obs::names::PHASE_TRACEROUTE);
             traceroute::sim::reactive_campaign(&self.net, vp, &probe_cfg, 2)
         };
-        let observed = observed_addresses(&traces);
+        let observed = observed_addresses(&traces, &self.worker_pool());
         let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
         CorpusBundle {
             traces,

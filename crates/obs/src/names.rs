@@ -139,6 +139,9 @@ pub const EXEC_POOL_STEALS: &str = "pool.steals";
 pub const EXEC_POOL_BUSY_CAMPAIGN: &str = "pool.busy_us.campaign";
 /// Aggregate pool worker busy time in the phase-1 graph build, microseconds.
 pub const EXEC_POOL_BUSY_GRAPH: &str = "pool.busy_us.graph";
+/// Aggregate pool worker busy time collecting the observed-address set for
+/// alias resolution, microseconds.
+pub const EXEC_POOL_BUSY_ALIAS: &str = "pool.busy_us.alias";
 /// Aggregate pool worker busy time in phase-3 refinement, microseconds.
 pub const EXEC_POOL_BUSY_REFINE: &str = "pool.busy_us.refine";
 /// Aggregate pool worker busy time in detlint's phase-A file scan,
@@ -156,15 +159,17 @@ pub const EXEC_SERVE_ERRORS: &str = "serve.errors";
 // Passes of the graph build, visible as nested spans under `phase1.graph`
 // in the run report and on the trace's `main` track.
 
-/// Pass 0: address interning over trace shards.
+/// Pass 0: address interning and destination-AS lookup over trace shards.
 pub const PHASE1_INTERN: &str = "phase1.intern";
 /// Origin-AS resolution over the interned interface space.
 pub const PHASE1_ORIGINS: &str = "phase1.origins";
 /// Serial IR construction from alias groups.
 pub const PHASE1_IRS: &str = "phase1.irs";
-/// Pass 1: link and destination extraction over trace shards.
+/// Pass 1: ordering traces by destination AS, then link and destination
+/// extraction over destination-AS buckets.
 pub const PHASE1_LINKS: &str = "phase1.links";
-/// Serial reduction of per-shard link/destination observations.
+/// Reduction of the buckets: the global adjacency set, links and
+/// predecessors, then destination sets scattered over the pool.
 pub const PHASE1_REDUCE: &str = "phase1.reduce";
 /// Per-IR metadata annotation (degree, relationships, cone membership).
 pub const PHASE1_METADATA: &str = "phase1.metadata";

@@ -27,7 +27,9 @@
 //! * **Graceful shutdown** — a [`ShutdownHandle`] flips a flag and nudges
 //!   the accept loop; workers drain their in-flight connections and join.
 //! * **Per-connection read timeouts** so an idle or stalled client cannot
-//!   pin a worker forever.
+//!   pin a worker forever, and a request-line cap
+//!   ([`server::MAX_REQUEST_LINE`]) so an endless line cannot grow a
+//!   worker's buffer without limit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,4 +42,4 @@ pub mod server;
 pub use client::Client;
 pub use metrics::ServeMetrics;
 pub use protocol::{dispatch, LinkJson, Request, Response, StatsJson, VerbStatsJson};
-pub use server::{RunningServer, Server, ServerConfig, ShutdownHandle};
+pub use server::{RunningServer, Server, ServerConfig, ShutdownHandle, MAX_REQUEST_LINE};

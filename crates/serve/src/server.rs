@@ -21,7 +21,7 @@ use crate::protocol;
 use obs::WorkerTracer;
 use snapshot::Snapshot;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -66,6 +66,11 @@ impl ActiveConns {
         }
     }
 }
+
+/// Longest request line a connection may send, in bytes (the newline
+/// excluded). A longer line gets an error response and the connection is
+/// closed, so one client cannot grow a worker's buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Tuning knobs for [`Server`].
 #[derive(Clone, Copy, Debug)]
@@ -216,7 +221,8 @@ impl Server {
     }
 
     /// Serves one persistent connection: request line in, response line
-    /// out, until EOF, a read timeout, or an I/O error.
+    /// out, until EOF, a read timeout, an I/O error, or a request line
+    /// longer than [`MAX_REQUEST_LINE`].
     fn handle_connection(&self, stream: TcpStream, wt: &mut WorkerTracer) {
         // NODELAY matters: the protocol is small request/response lines, and
         // Nagle + delayed ACK turns each into a ~40 ms round trip.
@@ -235,13 +241,47 @@ impl Server {
                 return;
             }
         };
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
+        let mut reader = BufReader::new(stream);
+        let mut buf: Vec<u8> = Vec::new();
+        loop {
+            buf.clear();
+            // At most one byte past the cap is buffered: enough to tell an
+            // oversized line from one that fits exactly.
+            let n = match (&mut reader)
+                .take(MAX_REQUEST_LINE as u64 + 1)
+                .read_until(b'\n', &mut buf)
+            {
+                Ok(n) => n,
                 Err(_) => {
                     // Timeout or broken pipe: count it and give the worker
                     // back to the pool.
+                    self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
+                    return;
+                }
+            };
+            if n == 0 {
+                return; // EOF
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_REQUEST_LINE {
+                // Answer, then close: the rest of the line is never read.
+                self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
+                let resp = protocol::Response::error(format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes"
+                ));
+                let mut text = serde_json::to_string(&resp).expect("response serializes");
+                text.push('\n');
+                let _ = writer.write_all(text.as_bytes());
+                let _ = writer.shutdown(Shutdown::Write);
+                return;
+            }
+            let line = match std::str::from_utf8(&buf) {
+                Ok(l) => l,
+                Err(_) => {
                     self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
                     return;
                 }
@@ -252,7 +292,7 @@ impl Server {
             self.rec.add_exec(obs::names::EXEC_SERVE_REQUESTS, 1);
             let t0 = self.metrics.begin();
             wt.begin(obs::names::EV_SERVE_REQUEST, line.len() as u64);
-            let (verb, resp) = match protocol::parse_line(&line) {
+            let (verb, resp) = match protocol::parse_line(line) {
                 Ok(req) => {
                     let verb = obs::names::serve_verb(&req.cmd);
                     let mut resp = protocol::dispatch(&self.snapshot, &req);

@@ -2,8 +2,10 @@
 //! persistent connections, malformed traffic, and graceful shutdown.
 
 use net_types::{parse_ipv4, Asn};
-use serve::{Client, Request, Server, ServerConfig};
+use serve::{Client, Request, Server, ServerConfig, MAX_REQUEST_LINE};
 use snapshot::{AnnRecord, LinkRecord, RouterRecord, Snapshot, SnapshotData};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -210,4 +212,53 @@ fn counters_flow_through_the_recorder() {
     assert!(report.exec["serve.requests"] >= 4);
     assert!(report.exec["serve.connections"] >= 1);
     assert!(report.exec["serve.errors"] >= 1);
+}
+
+#[test]
+fn oversized_line_is_refused_and_the_worker_moves_on() {
+    let rec = obs::Recorder::new(false);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        test_snapshot(),
+        ServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_secs(5),
+        },
+        rec.clone(),
+    )
+    .unwrap();
+    let running = server.spawn_background();
+
+    // A line exactly at the cap is still a request (malformed, answered).
+    let mut c = Client::connect(running.addr()).unwrap();
+    let raw = c.call_raw(&"x".repeat(MAX_REQUEST_LINE)).unwrap();
+    assert!(raw.contains("\"ok\":false"), "{raw}");
+    assert!(c.call(&Request::verb("stats")).unwrap().ok);
+    drop(c);
+
+    // One byte over: an error response, then the server closes.
+    let mut s = TcpStream::connect(running.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut line = "x".repeat(MAX_REQUEST_LINE + 1).into_bytes();
+    line.push(b'\n');
+    s.write_all(&line).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    let mut resp = String::new();
+    reader.read_line(&mut resp).unwrap();
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("exceeds"), "{resp}");
+    let mut rest = Vec::new();
+    // Closed: EOF, or a reset because the unread tail was discarded.
+    if let Ok(n) = reader.read_to_end(&mut rest) {
+        assert_eq!(n, 0, "nothing follows the error response");
+    }
+    drop(reader);
+    drop(s);
+
+    // The single worker is free again and serves the next connection.
+    let mut c = Client::connect(running.addr()).unwrap();
+    assert!(c.call(&Request::verb("stats")).unwrap().ok);
+    drop(c);
+    running.shutdown();
+    assert!(rec.report().exec["serve.errors"] >= 2);
 }

@@ -36,7 +36,7 @@ fn main() {
         &rib.collapsed_paths(),
         &as_rel::infer::InferenceConfig::default(),
     );
-    let observed = alias::observed_addresses(&traces);
+    let observed = alias::observed_addresses(&traces, &bdrmapit::pool::WorkerPool::new(0));
     let aliases = alias::resolve_midar(&net, &observed, 0.9, 7);
 
     // 4. bdrmapIT.

@@ -172,13 +172,14 @@ fn front_end(threads: usize, with_obs: bool) -> (u64, u64, usize, usize) {
         threads,
         ..Config::default()
     };
-    let g = IrGraph::build_with_obs(
+    let g = IrGraph::build(
         &bundle.traces,
         &bundle.aliases,
         &s.ip2as,
         &cfg,
         &s.rels,
         &cones,
+        &pool::WorkerPool::with_recorder(threads, rec.clone()),
         &rec,
     );
     (
