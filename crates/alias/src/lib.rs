@@ -202,16 +202,24 @@ pub fn observed_addresses(traces: &[Trace], wp: &pool::WorkerPool) -> BTreeSet<u
     addrs.into_iter().collect()
 }
 
+/// The share of multi-address routers whose alias group MIDAR+iffinder
+/// publishes in the pipeline's campaigns ([`resolve_midar`]'s `coverage`).
+pub const MIDAR_COVERAGE: f64 = 0.9;
+
 /// Synthetic MIDAR + iffinder: per router, with probability `coverage`,
 /// publishes the set of its addresses that were observed in the corpus.
 /// Groups of observed addresses on the same true router — never a false
 /// alias, matching MIDAR's "highly precise" characterization (§7.4).
+/// Records the `alias.resolve` span and the dataset size counters into
+/// `rec`; the alias sets are the same with any recorder.
 pub fn resolve_midar(
     net: &Internet,
     observed: &BTreeSet<u32>,
     coverage: f64,
     seed: u64,
+    rec: &obs::Recorder,
 ) -> AliasSets {
+    let _span = rec.span(obs::names::PHASE_ALIAS);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4D49_4441);
     let mut by_router: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     for &addr in observed {
@@ -223,21 +231,7 @@ pub fn resolve_midar(
         .into_values()
         .filter(|g| g.len() >= 2)
         .filter(|_| rng.gen_bool(coverage));
-    AliasSets::from_groups(groups)
-}
-
-/// [`resolve_midar`] under an observability span: records the
-/// `alias.resolve` phase and dataset size counters. The alias sets are
-/// bit-identical to the plain variant's.
-pub fn resolve_midar_with_obs(
-    net: &Internet,
-    observed: &BTreeSet<u32>,
-    coverage: f64,
-    seed: u64,
-    rec: &obs::Recorder,
-) -> AliasSets {
-    let _span = rec.span(obs::names::PHASE_ALIAS);
-    let sets = resolve_midar(net, observed, coverage, seed);
+    let sets = AliasSets::from_groups(groups);
     rec.add(obs::names::ALIAS_GROUPS, sets.len() as u64);
     rec.add(
         obs::names::ALIAS_ALIASED_ADDRS,
@@ -438,6 +432,7 @@ pub fn pair_accuracy(sets: &AliasSets, net: &Internet) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Recorder;
     use topo_gen::GeneratorConfig;
     use traceroute::sim::{probe_campaign, select_vps, ProbeConfig};
 
@@ -448,7 +443,7 @@ mod tests {
             ..ProbeConfig::default()
         };
         let vps = select_vps(&net, 5, &[], 1);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         (net, traces)
     }
 
@@ -492,7 +487,7 @@ mod tests {
     fn midar_is_perfectly_precise() {
         let (net, traces) = corpus();
         let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
-        let sets = resolve_midar(&net, &observed, 0.9, 7);
+        let sets = resolve_midar(&net, &observed, 0.9, 7, &Recorder::disabled());
         assert!(
             !sets.is_empty(),
             "some routers must have multiple observed addrs"
@@ -511,9 +506,9 @@ mod tests {
     fn midar_coverage_scales() {
         let (net, traces) = corpus();
         let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
-        let full = resolve_midar(&net, &observed, 1.0, 7);
-        let half = resolve_midar(&net, &observed, 0.5, 7);
-        let none = resolve_midar(&net, &observed, 0.0, 7);
+        let full = resolve_midar(&net, &observed, 1.0, 7, &Recorder::disabled());
+        let half = resolve_midar(&net, &observed, 0.5, 7, &Recorder::disabled());
+        let none = resolve_midar(&net, &observed, 0.0, 7, &Recorder::disabled());
         assert!(full.len() >= half.len());
         assert!(none.is_empty());
     }
@@ -522,7 +517,7 @@ mod tests {
     fn kapar_overmerges() {
         let (net, traces) = corpus();
         let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
-        let midar = resolve_midar(&net, &observed, 0.9, 7);
+        let midar = resolve_midar(&net, &observed, 0.9, 7, &Recorder::disabled());
         let kapar = resolve_kapar(&traces, &midar);
         let (tp_m, tot_m) = pair_accuracy(&midar, &net);
         let (tp_k, tot_k) = pair_accuracy(&kapar, &net);

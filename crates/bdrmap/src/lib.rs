@@ -73,7 +73,6 @@ pub fn run(
         rels,
         &cones,
         &pool::WorkerPool::new(cfg.threads),
-        &obs::Recorder::disabled(),
     );
 
     // ---- step 1: internal routers ----

@@ -13,7 +13,6 @@ fn bench_phases(c: &mut Criterion) {
     let cones = CustomerCones::compute(&s.rels);
     let cfg = Config::default();
     let wp = pool::WorkerPool::new(cfg.threads);
-    let rec = obs::Recorder::disabled();
 
     let mut g = c.benchmark_group("phases");
     g.bench_function("phase1_construct_graph", |b| {
@@ -26,7 +25,6 @@ fn bench_phases(c: &mut Criterion) {
                 &s.rels,
                 &cones,
                 &wp,
-                &rec,
             )
         });
     });
@@ -39,7 +37,6 @@ fn bench_phases(c: &mut Criterion) {
         &s.rels,
         &cones,
         &wp,
-        &rec,
     );
     g.bench_function("phase2_last_hops", |b| {
         b.iter(|| {
@@ -52,7 +49,7 @@ fn bench_phases(c: &mut Criterion) {
         b.iter(|| {
             let mut state = AnnotationState::new(&graph);
             bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut state);
-            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state, &wp, &rec);
+            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state, &wp);
             state
         });
     });
@@ -69,7 +66,6 @@ fn bench_refine_threads(c: &mut Criterion) {
     let s = &fx.scenario;
     let cones = CustomerCones::compute(&s.rels);
     let base = Config::default();
-    let rec = obs::Recorder::disabled();
     let graph = IrGraph::build(
         &fx.bundle.traces,
         &fx.bundle.aliases,
@@ -78,7 +74,6 @@ fn bench_refine_threads(c: &mut Criterion) {
         &s.rels,
         &cones,
         &pool::WorkerPool::new(base.threads),
-        &rec,
     );
     let mut annotated = AnnotationState::new(&graph);
     bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut annotated);
@@ -89,7 +84,7 @@ fn bench_refine_threads(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("threads", threads), &wp, |b, wp| {
             b.iter(|| {
                 let mut state = annotated.clone();
-                bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &base, &mut state, wp, &rec);
+                bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &base, &mut state, wp);
                 state
             });
         });
@@ -97,7 +92,7 @@ fn bench_refine_threads(c: &mut Criterion) {
     g.finish();
 }
 
-/// Front-end thread sweep: the sharded probe campaign and the interned
+/// Front-end thread sweep: the probe campaign and the interned
 /// phase-1 graph build at 1/2/4 workers. Output is bit-identical across the
 /// sweep (enforced by `tests/front_end_determinism.rs`), so — as with the
 /// refinement sweep above — this measures pure scheduling.
@@ -109,17 +104,14 @@ fn bench_front_end_threads(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("front_end");
     for threads in [1usize, 2, 4] {
+        let wp = pool::WorkerPool::new(threads);
         g.bench_with_input(
             BenchmarkId::new("campaign_threads", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    traceroute::sim::probe_campaign_sharded(&s.net, &fx.bundle.vps, &probe_cfg, t)
-                });
+            &wp,
+            |b, wp| {
+                b.iter(|| traceroute::sim::probe_campaign(&s.net, &fx.bundle.vps, &probe_cfg, wp));
             },
         );
-        let wp = pool::WorkerPool::new(threads);
-        let rec = obs::Recorder::disabled();
         g.bench_with_input(BenchmarkId::new("graph_threads", threads), &wp, |b, wp| {
             b.iter(|| {
                 IrGraph::build(
@@ -130,7 +122,6 @@ fn bench_front_end_threads(c: &mut Criterion) {
                     &s.rels,
                     &cones,
                     wp,
-                    &rec,
                 )
             });
         });

@@ -88,7 +88,15 @@ fn bench_alias(c: &mut Criterion) {
     let observed = alias::observed_addresses(&fx.bundle.traces, &pool::WorkerPool::new(1));
     let mut g = c.benchmark_group("alias_resolution");
     g.bench_function("midar_style", |b| {
-        b.iter(|| alias::resolve_midar(&fx.scenario.net, &observed, 0.9, 7));
+        b.iter(|| {
+            alias::resolve_midar(
+                &fx.scenario.net,
+                &observed,
+                alias::MIDAR_COVERAGE,
+                7,
+                &obs::Recorder::disabled(),
+            )
+        });
     });
     g.bench_function("kapar_style", |b| {
         b.iter(|| alias::resolve_kapar(&fx.bundle.traces, &fx.bundle.aliases));

@@ -29,7 +29,7 @@
 //!
 //! Usage:
 //!   bench-pipeline [--scales S1,S2] [--threads T1,T2] [--contract T:MIN]
-//!                  [OUTPUT_PATH]
+//!                  \[OUTPUT_PATH\]
 //! Defaults: `--scales tiny,small --threads 1,2,4,8 BENCH_pipeline.json`.
 //! Scales: tiny | small | default | itdk | large (large is the ~1e5-router
 //! speedup-contract scale; release mode strongly advised).

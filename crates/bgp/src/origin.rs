@@ -145,11 +145,6 @@ impl IpToAs {
         self.ixp.longest_match(addr).is_some()
     }
 
-    /// Number of BGP prefixes loaded.
-    pub fn bgp_prefix_count(&self) -> usize {
-        self.bgp.len()
-    }
-
     /// Number of RIR prefixes that survived the staleness filter.
     pub fn rir_prefix_count(&self) -> usize {
         self.rir.len()

@@ -23,7 +23,7 @@
 
 use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
-use alias::{observed_addresses, resolve_midar, resolve_midar_with_obs};
+use alias::{observed_addresses, resolve_midar, MIDAR_COVERAGE};
 use as_rel::infer::{infer_relationships, InferenceConfig};
 use bdrmapit_core::{Bdrmapit, Config};
 use bgp::IpToAs;
@@ -35,9 +35,7 @@ use snapshot::SnapshotData;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet};
-use traceroute::sim::{
-    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, ProbeConfig,
-};
+use traceroute::sim::{destinations, probe_campaign, probe_pairs, select_vps, ProbeConfig};
 use traceroute::Trace;
 
 /// Knobs for one churn run.
@@ -55,13 +53,10 @@ pub struct ChurnOptions {
     pub seed: u64,
     /// Probe campaign configuration (shared by both paths).
     pub probe: ProbeConfig,
-    /// Inference configuration; `threads` is overridden from
-    /// [`ChurnOptions::threads`].
-    pub core: Config,
 }
 
 impl ChurnOptions {
-    /// Defaults for a run: standard probe and inference configuration.
+    /// Defaults for a run: the standard probe configuration.
     pub fn new(epochs: usize, vps: usize, threads: usize, seed: u64) -> ChurnOptions {
         ChurnOptions {
             epochs,
@@ -69,7 +64,6 @@ impl ChurnOptions {
             threads,
             seed,
             probe: ProbeConfig::default(),
-            core: Config::default(),
         }
     }
 }
@@ -139,12 +133,7 @@ pub fn run_churn(
     let schedule = ChurnSchedule::generate(&net, opts.seed, opts.epochs);
     let wp = Arc::new(pool::WorkerPool::with_recorder(opts.threads, rec.clone()));
     let full_wp = Arc::new(pool::WorkerPool::new(opts.threads));
-    let silent = obs::Recorder::disabled();
     let vps = select_vps(&net, opts.vps, &[], opts.seed);
-    let cfg = Config {
-        threads: opts.threads,
-        ..opts.core.clone()
-    };
 
     let mut rib = net.build_rib();
     let mut ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
@@ -211,7 +200,7 @@ pub fn run_churn(
         let fresh = {
             let _span = rec.span(names::PHASE_TRACEROUTE);
             let router_pairs: Vec<_> = dirty.iter().map(|&(v, d)| (vps[v], d)).collect();
-            probe_pairs_in_pool(&net, &router_pairs, &opts.probe, &wp)
+            probe_pairs(&net, &router_pairs, &opts.probe, &wp)
         };
         let mut next_cache: BTreeMap<(usize, u32), PairInfo> = BTreeMap::new();
         for (key, (trace, ases)) in dirty.iter().copied().zip(fresh) {
@@ -237,13 +226,12 @@ pub fn run_churn(
         // (any changed trace can re-cluster distant interfaces), and the
         // resolver is cheap next to probing.
         let observed = observed_addresses(&corpus, &wp);
-        let aliases = resolve_midar_with_obs(&net, &observed, 0.9, opts.seed, rec);
+        let aliases = resolve_midar(&net, &observed, MIDAR_COVERAGE, opts.seed, rec);
 
         // 6. Inference over the spliced corpus, recorded on the session
         // pool and recorder. Only the snapshot bytes outlive the block.
         let snap_inc = {
-            let annotated = Bdrmapit::new(cfg.clone())
-                .with_obs(rec.clone())
+            let annotated = Bdrmapit::new(Config::default())
                 .with_pool(wp.clone())
                 .run(&corpus, &aliases, &ip2as, &rels);
             snapshot::to_bytes(&SnapshotData::from_annotated(
@@ -256,7 +244,7 @@ pub fn run_churn(
 
         // 7. The naive path, for cost comparison and byte-level proof.
         let full_start = clock.now_nanos();
-        let full_corpus = probe_campaign_in_pool(&net, &vps, &opts.probe, &full_wp, &silent);
+        let full_corpus = probe_campaign(&net, &vps, &opts.probe, &full_wp);
         if full_corpus != corpus {
             return Err(format!(
                 "epoch {epoch}: spliced corpus diverges from the full campaign \
@@ -268,18 +256,16 @@ pub fn run_churn(
         let full_aliases = resolve_midar(
             &net,
             &observed_addresses(&full_corpus, &full_wp),
-            0.9,
+            MIDAR_COVERAGE,
             opts.seed,
+            full_wp.recorder(),
         );
         if full_aliases != aliases {
             return Err(format!("epoch {epoch}: alias sets diverge"));
         }
-        let full_result = Bdrmapit::new(cfg.clone()).with_pool(full_wp.clone()).run(
-            &full_corpus,
-            &full_aliases,
-            &ip2as,
-            &rels,
-        );
+        let full_result = Bdrmapit::new(Config::default())
+            .with_pool(full_wp.clone())
+            .run(&full_corpus, &full_aliases, &ip2as, &rels);
         let snap_full = snapshot::to_bytes(&SnapshotData::from_annotated(
             &full_result,
             &rib.origin_table(),

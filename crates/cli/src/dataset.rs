@@ -79,9 +79,9 @@ pub fn write_bundle(
     };
     let vp_routers = traceroute::sim::select_vps(&s.net, vps, &[], seed);
     let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
-    let traces = traceroute::sim::probe_campaign_in_pool(&s.net, &vp_routers, &probe_cfg, &wp, rec);
+    let traces = traceroute::sim::probe_campaign(&s.net, &vp_routers, &probe_cfg, &wp);
     let observed = alias::observed_addresses(&traces, &wp);
-    let aliases = alias::resolve_midar_with_obs(&s.net, &observed, 0.9, seed, rec);
+    let aliases = alias::resolve_midar(&s.net, &observed, alias::MIDAR_COVERAGE, seed, rec);
 
     let mut f = fs::File::create(dir.join(files::TRACES))?;
     write_jsonl(&mut f, &traces)?;

@@ -831,11 +831,8 @@ fn run_with_obs(cli: &Cli, rec: &obs::Recorder) -> Result<String, CliError> {
         }
         Command::Pipeline => {
             let bundle = s.campaign(cli.vps, true, cli.seed);
-            let cfg = bdrmapit_core::Config {
-                threads: cli.threads,
-                ..bdrmapit_core::Config::default()
-            };
-            let result = eval::experiments::run_bdrmapit(&s, &bundle, cfg);
+            let result =
+                eval::experiments::run_bdrmapit(&s, &bundle, bdrmapit_core::Config::default());
             let _ = writeln!(
                 out,
                 "pipeline: {} traces from {} VPs, {} alias groups, {} IRs, \

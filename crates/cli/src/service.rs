@@ -21,11 +21,7 @@ pub fn snapshot_write(cli: &Cli, out: &Path, rec: &obs::Recorder) -> Result<Stri
     let mut s = Scenario::build_with_obs(cli.scale.config(cli.seed), rec.clone());
     s.threads = cli.threads;
     let bundle = s.campaign(cli.vps, true, cli.seed);
-    let cfg = bdrmapit_core::Config {
-        threads: cli.threads,
-        ..bdrmapit_core::Config::default()
-    };
-    let result = eval::experiments::run_bdrmapit(&s, &bundle, cfg);
+    let result = eval::experiments::run_bdrmapit(&s, &bundle, bdrmapit_core::Config::default());
     let data = SnapshotData::from_annotated(&result, &s.rib.origin_table());
     let mut f = std::fs::File::create(out).map_err(|e| runtime("creating snapshot file", e))?;
     snapshot::write_snapshot(&mut f, &data).map_err(|e| runtime("writing snapshot", e))?;

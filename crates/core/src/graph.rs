@@ -207,11 +207,10 @@ fn ascending_set(list: Vec<Asn>) -> BTreeSet<Asn> {
 impl IrGraph {
     /// Builds the graph from a corpus (§4) on the shared worker pool,
     /// recording spans, worker counts and relationship-cache telemetry on
-    /// `rec`. Each parallel pass is chunked into
+    /// the pool's recorder. Each parallel pass is chunked into
     /// [`pool::WorkerPool::batch_size`]-sized tasks (see the module docs);
     /// task outputs rejoin in task-index order, so neither the thread count
     /// nor stealing reaches the output.
-    #[allow(clippy::too_many_arguments)]
     pub fn build(
         traces: &[Trace],
         aliases: &AliasSets,
@@ -220,13 +219,13 @@ impl IrGraph {
         rels: &AsRelationships,
         cones: &CustomerCones,
         wp: &pool::WorkerPool,
-        rec: &obs::Recorder,
     ) -> IrGraph {
+        let rec = wp.recorder();
         rec.add_exec(
             obs::names::EXEC_GRAPH_WORKERS,
             wp.worker_cap(traces.len()) as u64,
         );
-        let (mut g, mut order) = Self::skeleton(traces, aliases, ip2as, wp, rec);
+        let (mut g, mut order) = Self::skeleton(traces, aliases, ip2as, wp);
 
         let span = rec.span(obs::names::PHASE1_LINKS);
         order.sort_unstable();
@@ -237,7 +236,7 @@ impl IrGraph {
         g.reduce(extracts, wp);
         drop(span);
 
-        g.annotate_irs(cfg, rels, cones, wp, rec);
+        g.annotate_irs(cfg, rels, cones, wp);
         g
     }
 
@@ -250,8 +249,8 @@ impl IrGraph {
         aliases: &AliasSets,
         ip2as: &IpToAs,
         wp: &pool::WorkerPool,
-        rec: &obs::Recorder,
     ) -> (IrGraph, Vec<u64>) {
+        let rec = wp.recorder();
         assert!(
             u32::try_from(traces.len()).is_ok(),
             "trace indices must fit in 32 bits"
@@ -571,8 +570,8 @@ impl IrGraph {
         rels: &AsRelationships,
         cones: &CustomerCones,
         wp: &pool::WorkerPool,
-        rec: &obs::Recorder,
     ) {
+        let rec = wp.recorder();
         let span = rec.span(obs::names::PHASE1_METADATA);
         let n_irs = self.irs.len();
         let graph = &*self;
@@ -750,8 +749,7 @@ mod tests {
     ) -> IrGraph {
         let cones = CustomerCones::compute(rels);
         let wp = pool::WorkerPool::new(threads);
-        let rec = obs::Recorder::disabled();
-        IrGraph::build(traces, aliases, ip2as, &cfg(), rels, &cones, &wp, &rec)
+        IrGraph::build(traces, aliases, ip2as, &cfg(), rels, &cones, &wp)
     }
 
     fn build(traces: &[Trace], aliases: &AliasSets) -> IrGraph {
@@ -1017,7 +1015,6 @@ mod tests {
             &rels,
             &cones,
             &wp,
-            &rec,
         );
         let report = rec.report();
         assert_eq!(report.exec[obs::names::EXEC_GRAPH_WORKERS], 2);
@@ -1069,8 +1066,7 @@ mod tests {
         ) -> IrGraph {
             let cones = CustomerCones::compute(rels);
             let wp = pool::WorkerPool::new(1);
-            let rec = obs::Recorder::disabled();
-            let (mut g, _) = IrGraph::skeleton(traces, aliases, ip2as, &wp, &rec);
+            let (mut g, _) = IrGraph::skeleton(traces, aliases, ip2as, &wp);
             let mut links: Vec<LinkObs> = Vec::new();
             let mut dest_obs: Vec<(u32, Asn)> = Vec::new();
             for t in traces {
@@ -1148,7 +1144,7 @@ mod tests {
                     dests,
                 });
             }
-            g.annotate_irs(&cfg(), rels, &cones, &wp, &rec);
+            g.annotate_irs(&cfg(), rels, &cones, &wp);
             g
         }
 

@@ -74,11 +74,12 @@ pub struct Config {
     /// Safety cap on refinement iterations (the paper iterates to a
     /// repeated state; this bounds pathological inputs).
     pub max_iterations: usize,
-    /// Worker threads for the phase-1 graph build and the phase-3
-    /// refinement loop (which uses at most as many as its widest wavefront
-    /// level). `0` (the default) means all available parallelism; `1`
-    /// forces serial execution. Results are bit-identical for every value
-    /// (see [`graph`] and `refine::parallel`).
+    /// Worker threads of the pool [`Bdrmapit::run`] builds when no pool is
+    /// attached with [`Bdrmapit::with_pool`] (an attached pool's budget
+    /// wins); the phase-3 refinement loop uses at most as many as its
+    /// widest wavefront level. `0` (the default) means all available
+    /// parallelism; `1` forces serial execution. Results are bit-identical
+    /// for every value (see [`graph`] and `refine::parallel`).
     pub threads: usize,
 }
 
@@ -116,9 +117,10 @@ impl Bdrmapit {
         }
     }
 
-    /// Attaches an observability recorder. Telemetry is write-only: the
-    /// annotations produced by [`run`](Bdrmapit::run) are bit-identical with
-    /// any recorder, including the disabled default.
+    /// Sets the recorder of the pool [`run`](Bdrmapit::run) builds when no
+    /// pool is attached; an attached pool brings its own recorder.
+    /// Telemetry is write-only: the annotations produced by `run` are
+    /// bit-identical with any recorder, including the disabled default.
     #[must_use]
     pub fn with_obs(mut self, rec: obs::Recorder) -> Self {
         self.obs = rec;
@@ -126,9 +128,11 @@ impl Bdrmapit {
     }
 
     /// Attaches a shared worker pool. Without one, [`run`](Bdrmapit::run)
-    /// creates its own from [`Config::threads`]; with one, the caller's pool
-    /// budget wins and its scheduling statistics accumulate across every
-    /// phase dispatched on it (e.g. a probe campaign run beforehand).
+    /// creates its own from [`Config::threads`] and the
+    /// [`with_obs`](Bdrmapit::with_obs) recorder; with one, the caller's
+    /// pool budget and recorder win, and its scheduling statistics
+    /// accumulate across every phase dispatched on it (e.g. a probe
+    /// campaign run beforehand).
     #[must_use]
     pub fn with_pool(mut self, pool: std::sync::Arc<pool::WorkerPool>) -> Self {
         self.pool = Some(pool);
@@ -140,7 +144,8 @@ impl Bdrmapit {
         &self.cfg
     }
 
-    /// Runs all three phases and returns the annotated graph.
+    /// Runs all three phases and returns the annotated graph. Spans and
+    /// counters go to the recorder of the pool the phases run on.
     pub fn run(
         &self,
         traces: &[traceroute::Trace],
@@ -156,16 +161,14 @@ impl Bdrmapit {
                 self.obs.clone(),
             ))
         });
+        let rec = wp.recorder();
         let cones = CustomerCones::compute(rels);
         let graph = {
-            let _span = self.obs.span(names::PHASE_GRAPH);
-            let graph = IrGraph::build(
-                traces, aliases, ip2as, &self.cfg, rels, &cones, &wp, &self.obs,
-            );
-            self.obs.add(names::GRAPH_IRS, graph.irs.len() as u64);
-            self.obs
-                .add(names::GRAPH_IFACES, graph.iface_addrs.len() as u64);
-            self.obs.add(
+            let _span = rec.span(names::PHASE_GRAPH);
+            let graph = IrGraph::build(traces, aliases, ip2as, &self.cfg, rels, &cones, &wp);
+            rec.add(names::GRAPH_IRS, graph.irs.len() as u64);
+            rec.add(names::GRAPH_IFACES, graph.iface_addrs.len() as u64);
+            rec.add(
                 names::GRAPH_LINKS,
                 graph.irs.iter().map(|ir| ir.links.len() as u64).sum(),
             );
@@ -173,16 +176,16 @@ impl Bdrmapit {
         };
         let mut state = AnnotationState::new(&graph);
         if self.cfg.enable_last_hop {
-            let _span = self.obs.span(names::PHASE_LASTHOP);
+            let _span = rec.span(names::PHASE_LASTHOP);
             lasthop::annotate_last_hops(&graph, rels, &cones, &mut state);
-            self.obs.add(
+            rec.add(
                 names::LASTHOP_FROZEN,
                 state.frozen.iter().filter(|&&f| f).count() as u64,
             );
         }
         {
-            let _span = self.obs.span(names::PHASE_REFINE);
-            refine::refine(&graph, rels, &cones, &self.cfg, &mut state, &wp, &self.obs);
+            let _span = rec.span(names::PHASE_REFINE);
+            refine::refine(&graph, rels, &cones, &self.cfg, &mut state, &wp);
         }
         Annotated { graph, state }
     }

@@ -8,7 +8,7 @@
 //! iteration cap as a backstop.
 //!
 //! The sweeps run on a crew broadcast from the worker pool, one wavefront
-//! level at a time ([`parallel`](crate::refine::parallel)); every crew size
+//! level at a time ([`parallel`]); every crew size
 //! executes the identical routine and produces bit-identical annotations.
 
 use crate::graph::IrGraph;
@@ -61,12 +61,13 @@ impl StateHasher {
 }
 
 /// Runs phase 3 to completion on `wp`, reporting convergence telemetry
-/// through `rec`. The worker budget comes from the pool ([`Config::threads`]
-/// only feeds a pool's construction), then shrinks to what the wavefront
-/// levels can occupy. Telemetry is write-only: every annotation, iteration
-/// count, and convergence trace is bit-identical for every pool size and
-/// whether `rec` is enabled, disabled, or shared with other phases — the
-/// determinism suite checks this at thread counts 1/2/8.
+/// through the pool's recorder. The worker budget comes from the pool
+/// ([`Config::threads`] only feeds a pool's construction), then shrinks to
+/// what the wavefront levels can occupy. Telemetry is write-only: every
+/// annotation, iteration count, and convergence trace is bit-identical for
+/// every pool size and whether the recorder is enabled, disabled, or shared
+/// with other phases — the determinism suite checks this at thread counts
+/// 1/2/8.
 pub fn refine(
     graph: &IrGraph,
     rels: &AsRelationships,
@@ -74,10 +75,10 @@ pub fn refine(
     cfg: &Config,
     state: &mut AnnotationState,
     wp: &pool::WorkerPool,
-    rec: &obs::Recorder,
 ) {
     use obs::names;
 
+    let rec = wp.recorder();
     let levels = wavefront_levels(&graph.irs, &graph.iface_ir);
     let cells = SweepCells::new(state);
     let crew = crew_size(wp.workers(), &levels);

@@ -10,7 +10,7 @@
 //! higher ones. Within one level no IR reads another's output, so commits
 //! are immediate and order-free.
 //!
-//! One routine, [`converge`], is the loop for every crew size; a crew of
+//! One routine, `converge`, is the loop for every crew size; a crew of
 //! one is the serial engine. Parallelism changes only who executes which
 //! slice of a level, never what any slice computes. That is the whole
 //! equivalence argument: results are identical for every thread count by

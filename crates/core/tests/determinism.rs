@@ -187,7 +187,7 @@ proptest! {
         let build = |threads: usize| {
             let cfg = Config { threads, ..Config::default() };
             let wp = pool::WorkerPool::new(threads);
-            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp, &obs::Recorder::disabled())
+            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp)
         };
         let serial = build(1);
         for threads in [2usize, 8] {
@@ -219,7 +219,7 @@ proptest! {
         for aliases in [AliasSets::empty(), paired_aliases(&traces)] {
             let cfg = Config::default();
             let wp = pool::WorkerPool::new(cfg.threads);
-            let g = IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp, &obs::Recorder::disabled());
+            let g = IrGraph::build(&traces, &aliases, &oracle(), &cfg, &r, &cones, &wp);
             let levels = wavefront_levels(&g.irs, &g.iface_ir);
 
             let mut level_of: Vec<Option<usize>> = vec![None; g.irs.len()];

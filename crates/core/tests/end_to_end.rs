@@ -21,14 +21,14 @@ fn run_pipeline(seed: u64, vps: usize) -> Pipeline {
         ..ProbeConfig::default()
     };
     let vp_routers = select_vps(&net, vps, &[], seed);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = probe_campaign(&net, &vp_routers, &probe_cfg, &pool::WorkerPool::new(2));
     assert!(traces.len() > 100, "campaign too small: {}", traces.len());
 
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
     let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
-    let aliases = resolve_midar(&net, &observed, 0.9, seed);
+    let aliases = resolve_midar(&net, &observed, 0.9, seed, &obs::Recorder::disabled());
 
     let result = Bdrmapit::new(Config::default()).run(&traces, &aliases, &ip2as, &rels);
     Pipeline { net, result }
@@ -144,12 +144,12 @@ fn last_hop_phase_annotates_firewalled_edges() {
     });
     let probe_cfg = ProbeConfig::default();
     let vp_routers = select_vps(&net, 5, &[], 23);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = probe_campaign(&net, &vp_routers, &probe_cfg, &pool::WorkerPool::new(2));
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
     let observed = observed_addresses(&traces, &pool::WorkerPool::new(2));
-    let aliases = resolve_midar(&net, &observed, 0.9, 23);
+    let aliases = resolve_midar(&net, &observed, 0.9, 23, &obs::Recorder::disabled());
 
     let with = Bdrmapit::new(Config::default()).run(&traces, &aliases, &ip2as, &rels);
     let without = Bdrmapit::new(Config {
@@ -184,7 +184,7 @@ fn works_without_alias_resolution() {
     let net = Internet::generate(GeneratorConfig::tiny(29));
     let probe_cfg = ProbeConfig::default();
     let vp_routers = select_vps(&net, 5, &[], 29);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = probe_campaign(&net, &vp_routers, &probe_cfg, &pool::WorkerPool::new(2));
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
@@ -228,5 +228,47 @@ fn ixp_addresses_never_annotated_with_ixp_origin() {
                 assert_ne!(ann, Asn::NONE);
             }
         }
+    }
+}
+
+/// The pool is the run context: a runner given a recording pool and no
+/// `with_obs` recorder reports every phase span and the graph counters into
+/// the pool's recorder.
+#[test]
+fn run_records_into_the_pool_it_runs_on() {
+    use obs::names;
+    let net = Internet::generate(GeneratorConfig::tiny(37));
+    let vp_routers = select_vps(&net, 3, &[], 37);
+    let traces = probe_campaign(
+        &net,
+        &vp_routers,
+        &ProbeConfig::default(),
+        &pool::WorkerPool::new(2),
+    );
+    let rib = net.build_rib();
+    let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
+    let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
+
+    let rec = obs::Recorder::new(false);
+    let wp = std::sync::Arc::new(pool::WorkerPool::with_recorder(2, rec.clone()));
+    Bdrmapit::new(Config::default()).with_pool(wp).run(
+        &traces,
+        &alias::AliasSets::empty(),
+        &ip2as,
+        &rels,
+    );
+    let report = rec.report();
+    for span in [
+        names::PHASE_GRAPH,
+        names::PHASE_LASTHOP,
+        names::PHASE_REFINE,
+    ] {
+        assert!(report.phases.contains_key(span), "no {span} span");
+    }
+    for counter in [names::GRAPH_IRS, names::GRAPH_IFACES, names::GRAPH_LINKS] {
+        assert!(
+            report.counters.get(counter).is_some_and(|&n| n > 0),
+            "no {counter} counter"
+        );
     }
 }

@@ -82,16 +82,7 @@ fn build(
 ) -> IrGraph {
     let cfg = Config::default();
     let wp = pool::WorkerPool::new(1);
-    IrGraph::build(
-        traces,
-        aliases,
-        &oracle(),
-        &cfg,
-        r,
-        cones,
-        &wp,
-        &obs::Recorder::disabled(),
-    )
+    IrGraph::build(traces, aliases, &oracle(), &cfg, r, cones, &wp)
 }
 
 proptest! {

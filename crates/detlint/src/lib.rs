@@ -63,7 +63,6 @@ pub mod rules;
 pub use dataflow::TaintSummary;
 pub use index::{CallSite, FileIndex, FnInfo};
 pub use report::{
-    analyze_sources, analyze_workspace, analyze_workspace_with, collect_rs_files,
-    find_workspace_root, Report, SCHEMA,
+    analyze_sources, analyze_workspace, collect_rs_files, find_workspace_root, Report, SCHEMA,
 };
 pub use rules::{analyze_source, ChainStep, FileAnalysis, Finding, KNOWN_RULES};

@@ -85,7 +85,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = detlint::analyze_workspace(&root);
+    let mut report = detlint::analyze_workspace(&root, &pool::WorkerPool::new(0));
 
     if let Some(baseline) = &args.baseline {
         let text = match std::fs::read_to_string(baseline) {

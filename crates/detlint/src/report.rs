@@ -17,7 +17,6 @@
 use crate::dataflow::{self, TaintSummary};
 use crate::index::FileIndex;
 use crate::rules::{AllowCover, FileAnalysis, Finding};
-use obs::Recorder;
 use pool::WorkerPool;
 use serde::Serialize;
 use std::fs;
@@ -281,10 +280,10 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
 }
 
 /// Analyzes every `.rs` file under `root`, dispatching phase A on `wp` and
-/// reporting `detlint.*` index statistics (plus pool busy time) into `rec`.
-/// Output is independent of the pool's thread count: per-file results come
-/// back in file-index order and phase B is serial.
-pub fn analyze_workspace_with(root: &Path, wp: &WorkerPool, rec: &Recorder) -> Report {
+/// reporting `detlint.*` index statistics (plus pool busy time) into the
+/// pool's recorder. Output is independent of the pool's thread count:
+/// per-file results come back in file-index order and phase B is serial.
+pub fn analyze_workspace(root: &Path, wp: &WorkerPool) -> Report {
     let files = collect_rs_files(root);
     let sources: Vec<(String, String)> = files
         .iter()
@@ -299,6 +298,7 @@ pub fn analyze_workspace_with(root: &Path, wp: &WorkerPool, rec: &Recorder) -> R
         analyze_file(rel, src)
     });
     let report = assemble(sources.len(), per_file);
+    let rec = wp.recorder();
     rec.add(obs::names::DETLINT_FILES, report.files_scanned as u64);
     rec.add(obs::names::DETLINT_FNS, report.index.fns as u64);
     rec.add(
@@ -314,12 +314,6 @@ pub fn analyze_workspace_with(root: &Path, wp: &WorkerPool, rec: &Recorder) -> R
         report.index.tainted_fns as u64,
     );
     report
-}
-
-/// Analyzes every `.rs` file under `root` with a default pool (one worker
-/// per available core) and no metrics sink.
-pub fn analyze_workspace(root: &Path) -> Report {
-    analyze_workspace_with(root, &WorkerPool::new(0), &Recorder::disabled())
 }
 
 /// Finds the workspace root by walking up from `start` to the first

@@ -153,13 +153,6 @@ pub struct FileAnalysis {
     pub allows: Vec<AllowCover>,
 }
 
-impl FileAnalysis {
-    /// Findings not silenced by an allow annotation.
-    pub fn unallowed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.allowed.is_none())
-    }
-}
-
 /// True for files that are crate roots (where `#![forbid(unsafe_code)]`
 /// must appear).
 pub fn is_crate_root(rel_path: &str) -> bool {
@@ -676,11 +669,12 @@ pub(crate) fn analyze_lexed(
 
     // ---- rule: pool-shared-capture -----------------------------------------
     // A worker closure capturing an identifier that is also mutated outside
-    // the closure in the same file: shared mutable state across the pool
-    // boundary, whose final value depends on worker scheduling.
+    // the closure in its enclosing function: shared mutable state across the
+    // pool boundary, whose final value depends on worker scheduling.
     for c in &closures {
         let in_body = |k: usize| k >= c.body.0 && k <= c.body.1;
-        // Closure-local `let` bindings are not captures.
+        // Closure-local `let` bindings and `for` pattern bindings are not
+        // captures.
         let mut locals: BTreeSet<&str> = BTreeSet::new();
         for k in c.body.0..=c.body.1.min(last) {
             if toks[k].is_ident("let") {
@@ -692,12 +686,29 @@ pub(crate) fn analyze_lexed(
                     locals.insert(t.text.as_str());
                 }
             }
+            if toks[k].is_ident("for") {
+                let pattern = toks[k + 1..=c.body.1.min(last)]
+                    .iter()
+                    .take_while(|t| !(t.is_ident("in") || t.is_punct("{") || t.is_punct(";")));
+                locals.extend(
+                    pattern
+                        .filter(|t| t.kind == TokKind::Ident && !t.is_ident("mut"))
+                        .map(|t| t.text.as_str()),
+                );
+            }
         }
-        // Names mutated outside the closure: `name =`/`name +=` (prev token
+        // Names mutated outside the closure but inside the innermost
+        // function holding it (a binding of the same name in another
+        // function is a different variable): `name =`/`name +=` (prev token
         // not `let`/`mut`/`.`/`:`, so declarations and field stores don't
         // count as mutating the bare name) or `&mut name`.
+        let scope = spans
+            .iter()
+            .filter(|s| s.body.0 <= c.body.0 && c.body.1 <= s.body.1)
+            .max_by_key(|s| s.body.0)
+            .map_or((0, last), |s| (s.body.0, s.body.1.min(last)));
         let mut mutated: BTreeSet<&str> = BTreeSet::new();
-        for m in 0..toks.len() {
+        for m in scope.0..=scope.1 {
             if in_body(m) {
                 continue;
             }

@@ -187,6 +187,17 @@ fn pool_rules_negative_shapes_are_clean() {
 }
 
 #[test]
+fn pool_shared_capture_is_scoped_to_the_enclosing_fn() {
+    // `&mut ir.links` in `reduce` does not make `annotate`'s read-only `ir`
+    // a shared capture, and `relabel`'s `for (i, ir)` binding is local to
+    // its closure; `seen += …` in `relabel` itself still fires.
+    assert_eq!(
+        spans("crates/demo/src/capture_scope.rs", "pool_capture_scope.rs"),
+        vec![s("pool-shared-capture", 28, 13, false)]
+    );
+}
+
+#[test]
 fn pool_crate_is_exempt_from_interior_mut_only() {
     // Under the pool's own path the interior-mutability rule stands down
     // (the pool IS the synchronization layer), but shared captures and

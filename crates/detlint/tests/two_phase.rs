@@ -3,7 +3,6 @@
 //! suppression path, and the pooled-scan determinism contract.
 
 use detlint::{analyze_sources, Report};
-use obs::Recorder;
 use pool::WorkerPool;
 use std::path::{Path, PathBuf};
 
@@ -153,8 +152,8 @@ fn workspace_root() -> PathBuf {
 fn pooled_scan_is_thread_count_invariant() {
     let root = workspace_root();
     let render = |r: &Report| r.to_json();
-    let serial = detlint::analyze_workspace_with(&root, &WorkerPool::new(1), &Recorder::disabled());
-    let pooled = detlint::analyze_workspace_with(&root, &WorkerPool::new(4), &Recorder::disabled());
+    let serial = detlint::analyze_workspace(&root, &WorkerPool::new(1));
+    let pooled = detlint::analyze_workspace(&root, &WorkerPool::new(4));
     assert!(serial.files_scanned > 50);
     assert_eq!(render(&serial), render(&pooled));
 }

@@ -18,7 +18,7 @@ fn workspace_has_no_unannotated_findings() {
         "expected workspace root at {}",
         root.display()
     );
-    let report = detlint::analyze_workspace(&root);
+    let report = detlint::analyze_workspace(&root, &pool::WorkerPool::new(0));
     assert!(
         report.files_scanned > 50,
         "scan looks truncated: {report:?}"
@@ -46,7 +46,7 @@ fn allow_inventory_does_not_silently_grow() {
         .nth(2)
         .expect("workspace root above crates/detlint")
         .to_path_buf();
-    let report = detlint::analyze_workspace(&root);
+    let report = detlint::analyze_workspace(&root, &pool::WorkerPool::new(0));
 
     let mut by_rule: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for f in &report.allowed {

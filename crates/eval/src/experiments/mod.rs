@@ -21,16 +21,18 @@ pub mod vps;
 use crate::scenario::{CorpusBundle, Scenario};
 use bdrmapit_core::{Annotated, Bdrmapit, Config};
 
-/// Runs bdrmapIT on a corpus under a scenario, reporting telemetry through
-/// the scenario's recorder (disabled unless the scenario was built with
-/// [`Scenario::build_with_obs`]) and dispatching the parallel phases on the
-/// scenario's worker pool — the scenario's shared pool if one is installed,
-/// so campaign and inference accumulate scheduling stats together.
+/// Runs bdrmapIT on a corpus under a scenario, on the scenario's worker
+/// pool — the scenario's shared pool if one is installed, so campaign and
+/// inference accumulate scheduling stats together — and reporting
+/// telemetry through that pool's recorder (disabled unless the scenario
+/// was built with [`Scenario::build_with_obs`] or given a recording pool).
 pub fn run_bdrmapit(s: &Scenario, bundle: &CorpusBundle, cfg: Config) -> Annotated {
-    Bdrmapit::new(cfg)
-        .with_obs(s.obs.clone())
-        .with_pool(s.worker_pool())
-        .run(&bundle.traces, &bundle.aliases, &s.ip2as, &s.rels)
+    Bdrmapit::new(cfg).with_pool(s.worker_pool()).run(
+        &bundle.traces,
+        &bundle.aliases,
+        &s.ip2as,
+        &s.rels,
+    )
 }
 
 /// Renders an aligned text table.

@@ -117,7 +117,6 @@ pub fn corpus_stats(s: &Scenario, bundle: &CorpusBundle) -> CorpusStats {
         &s.rels,
         &cones,
         &s.worker_pool(),
-        &obs::Recorder::disabled(),
     );
     let dist = graph.label_distribution();
     let get = |l: LinkLabel| dist.get(&l).copied().unwrap_or(0);

@@ -1,6 +1,6 @@
 //! Reproducible experiment scenarios.
 
-use alias::{observed_addresses, resolve_kapar, resolve_midar_with_obs, AliasSets};
+use alias::{observed_addresses, resolve_kapar, resolve_midar, AliasSets, MIDAR_COVERAGE};
 use as_rel::infer::{infer_relationships, InferenceConfig};
 use as_rel::AsRelationships;
 use bgp::{IpToAs, Rib};
@@ -8,7 +8,7 @@ use net_types::Asn;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet, RouterId, Tier};
-use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
+use traceroute::sim::{probe_campaign, select_vps, ProbeConfig};
 use traceroute::Trace;
 
 /// The four networks validated in the paper (§7): "a Tier-1 network, a
@@ -61,21 +61,22 @@ pub struct Scenario {
     pub rels: AsRelationships,
     /// The validation networks.
     pub validation: ValidationNetworks,
-    /// Telemetry recorder threaded through campaigns and experiment runs.
-    /// Disabled (no-op) unless the scenario was built with
+    /// Telemetry recorder of the ad-hoc pools [`Scenario::worker_pool`]
+    /// builds; every phase records into the recorder of the pool it runs
+    /// on. Disabled (no-op) unless the scenario was built with
     /// [`Scenario::build_with_obs`]; either way inference results are
     /// bit-identical.
     pub obs: obs::Recorder,
-    /// Worker threads for the sharded probe campaign (0 = ask the OS).
-    /// Campaign output is bit-identical for every value; this only sizes
-    /// the pool.
+    /// Worker threads of the ad-hoc pools (0 = ask the OS). Campaign output
+    /// is bit-identical for every value; this only sizes the pool.
     pub threads: usize,
     /// A shared worker pool for every parallel phase run under this
     /// scenario. `None` (the default) means each campaign builds an ad-hoc
-    /// pool from [`Scenario::threads`]; installing one lets campaign, graph
-    /// build, and refinement accumulate scheduling statistics on one object
-    /// (and is what the pipeline benchmarks do). The pool's budget takes
-    /// precedence over `threads`.
+    /// pool from [`Scenario::threads`] and [`Scenario::obs`]; installing one
+    /// lets campaign, graph build, and refinement accumulate scheduling
+    /// statistics on one object (and is what the pipeline benchmarks do).
+    /// The installed pool's budget and recorder take precedence over
+    /// `threads` and `obs`.
     pub pool: Option<Arc<pool::WorkerPool>>,
 }
 
@@ -137,9 +138,9 @@ impl Scenario {
     pub fn campaign_from(&self, vps: &[RouterId], seed: u64) -> CorpusBundle {
         let probe_cfg = ProbeConfig::default();
         let wp = self.worker_pool();
-        let traces = probe_campaign_in_pool(&self.net, vps, &probe_cfg, &wp, &self.obs);
+        let traces = probe_campaign(&self.net, vps, &probe_cfg, &wp);
         let observed = observed_addresses(&traces, &wp);
-        let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
+        let aliases = resolve_midar(&self.net, &observed, MIDAR_COVERAGE, seed, wp.recorder());
         CorpusBundle {
             traces,
             aliases,
@@ -157,12 +158,13 @@ impl Scenario {
             seed,
             ..ProbeConfig::default()
         };
+        let wp = self.worker_pool();
         let traces = {
-            let _span = self.obs.span(obs::names::PHASE_TRACEROUTE);
+            let _span = wp.recorder().span(obs::names::PHASE_TRACEROUTE);
             traceroute::sim::reactive_campaign(&self.net, vp, &probe_cfg, 2)
         };
-        let observed = observed_addresses(&traces, &self.worker_pool());
-        let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
+        let observed = observed_addresses(&traces, &wp);
+        let aliases = resolve_midar(&self.net, &observed, MIDAR_COVERAGE, seed, wp.recorder());
         CorpusBundle {
             traces,
             aliases,

@@ -55,8 +55,8 @@ impl Recorder {
         Recorder::with_clock(trace, Box::new(MonotonicClock::new()))
     }
 
-    /// An enabled recorder on an explicit clock (tests use [`MockClock`]
-    /// (crate::MockClock) for deterministic span durations).
+    /// An enabled recorder on an explicit clock (tests use
+    /// [`MockClock`](crate::MockClock) for deterministic span durations).
     pub fn with_clock(trace: bool, clock: Box<dyn Clock>) -> Recorder {
         Recorder::assemble(trace, Arc::from(clock), None)
     }

@@ -143,6 +143,13 @@ impl WorkerPool {
         }
     }
 
+    /// The recorder this pool reports into. Phases dispatched on the pool
+    /// record their spans and counters here too, so the pool is the whole
+    /// run context: one argument carries the thread budget and the sink.
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+
     /// The resolved worker budget (≥ 1).
     pub fn workers(&self) -> usize {
         self.workers

@@ -357,11 +357,6 @@ impl Internet {
         peers
     }
 
-    /// Ground truth: the operator of a router.
-    pub fn true_owner(&self, router: RouterId) -> Asn {
-        self.topology.owner(router)
-    }
-
     /// Ground truth: all interdomain links at router granularity.
     pub fn true_links(&self) -> Vec<TrueLink> {
         self.topology.true_links(&self.graph)

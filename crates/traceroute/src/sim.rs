@@ -23,7 +23,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use topo_gen::routers::LinkKind;
 use topo_gen::{ForwardOutcome, ForwardPath, Internet, RouterId, Tier};
 
 /// Probing campaign parameters.
@@ -351,127 +350,56 @@ pub fn reactive_campaign(
     out
 }
 
-/// Worker count for a sharded campaign: `threads == 0` asks the OS
-/// (mirroring the refinement engine's `Config::threads` convention), and the
-/// pool never exceeds the number of probe pairs. Thread count can only
-/// change wall time, never output — every probe is a pure function of
-/// `(seed, vp, dst)` and shards concatenate in canonical order.
-pub fn campaign_workers(threads: usize, probe_pairs: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    t.clamp(1, probe_pairs.max(1))
-}
-
-/// Probes the contiguous slice `[lo, hi)` of the flattened `(vp, dst)`
-/// matrix (vp-major), appending responsive traces to `out` in matrix order.
-fn fill_shard(
-    net: &Internet,
-    vps: &[RouterId],
-    dests: &[u32],
-    cfg: &ProbeConfig,
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<Trace>,
-) {
-    for k in lo..hi {
-        let vp = vps[k / dests.len()];
-        let dst = dests[k % dests.len()];
-        let t = trace_one(net, vp, dst, cfg);
-        if t.responsive_count() > 0 {
-            out.push(t);
-        }
-    }
-}
-
-/// Runs the full campaign: every VP probes every destination. Parallel over
-/// VPs with deterministic per-probe seeding, so output order and content are
-/// reproducible. Worker count is taken from the OS (`threads == 0`).
-pub fn probe_campaign(net: &Internet, vps: &[RouterId], cfg: &ProbeConfig) -> Vec<Trace> {
-    probe_campaign_sharded(net, vps, cfg, 0)
-}
-
-/// [`probe_campaign`] with an explicit thread count (0 = ask the OS),
-/// dispatched on an ad-hoc [`pool::WorkerPool`].
-///
-/// The `(vp, dst)` probe matrix is flattened vp-major and split into
-/// pool-sized task chunks; each task fills a private trace buffer for its
-/// contiguous index range, and the buffers are concatenated in range order.
-/// Because every trace depends only on `(campaign seed, vp, dst)` and the
-/// ranges partition the matrix in its canonical order, the merged corpus is
-/// byte-identical to a serial walk for every thread count — stealing can
-/// move a chunk between workers, never reorder the chunks.
-pub fn probe_campaign_sharded(
-    net: &Internet,
-    vps: &[RouterId],
-    cfg: &ProbeConfig,
-    threads: usize,
-) -> Vec<Trace> {
-    let dests = destinations(net, cfg);
-    campaign_in_pool(net, vps, &dests, cfg, &pool::WorkerPool::new(threads)).0
-}
-
-/// Shard runner shared by the entry points: probes the full `(vp, dst)`
-/// matrix on the given pool. Returns the corpus plus the worker count the
-/// batch could use (the execution-dependent `campaign.workers` value).
-fn campaign_in_pool(
-    net: &Internet,
-    vps: &[RouterId],
-    dests: &[u32],
-    cfg: &ProbeConfig,
+/// Runs `probe(k)` for every `k in 0..jobs` on the pool in contiguous
+/// [`pool::WorkerPool::batch_size`] chunks and concatenates the kept results
+/// in index order. Every probe is a pure function of `(campaign seed, vp,
+/// dst)`, so the result equals a serial walk for every pool size: stealing
+/// can move a chunk between workers, never reorder the chunks.
+fn run_chunks<T: Send>(
     wp: &pool::WorkerPool,
-) -> (Vec<Trace>, usize) {
-    let jobs = vps.len() * dests.len();
+    jobs: usize,
+    probe: impl Fn(usize) -> Option<T> + Sync,
+) -> Vec<T> {
     if jobs == 0 {
-        return (Vec::new(), 1);
+        return Vec::new();
     }
-    let workers = wp.worker_cap(jobs);
     let batch = wp.batch_size(jobs);
-    let tasks = jobs.div_ceil(batch);
-    let shards = wp.run(obs::names::EXEC_POOL_BUSY_CAMPAIGN, tasks, |t| {
-        let (lo, hi) = (t * batch, ((t + 1) * batch).min(jobs));
-        let mut out = Vec::new();
-        fill_shard(net, vps, dests, cfg, lo, hi, &mut out);
-        out
-    });
-    (shards.into_iter().flatten().collect(), workers)
+    let chunks = wp.run(
+        obs::names::EXEC_POOL_BUSY_CAMPAIGN,
+        jobs.div_ceil(batch),
+        |t| {
+            (t * batch..((t + 1) * batch).min(jobs))
+                .filter_map(&probe)
+                .collect::<Vec<_>>()
+        },
+    );
+    chunks.into_iter().flatten().collect()
 }
 
-/// [`probe_campaign_sharded`] under an observability span: records the
-/// `traceroute.campaign` phase, corpus size counters, and the
-/// execution-dependent `campaign.workers` pool size. The corpus is
-/// bit-identical to the plain variant's.
-pub fn probe_campaign_with_obs(
-    net: &Internet,
-    vps: &[RouterId],
-    cfg: &ProbeConfig,
-    threads: usize,
-    rec: &obs::Recorder,
-) -> Vec<Trace> {
-    let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
-    probe_campaign_in_pool(net, vps, cfg, &wp, rec)
-}
-
-/// [`probe_campaign_with_obs`] on a caller-provided worker pool — the entry
-/// the pipeline uses so campaign, graph build, and refinement share one
-/// pool. Destination enumeration runs *before* the phase span opens: it is
-/// input preparation, identical at every thread count, and timing it inside
-/// the span inflated the campaign's serial baseline (bench-pipeline v3
-/// measures probing only).
-pub fn probe_campaign_in_pool(
+/// Runs the full campaign on `wp`: every VP probes every destination, and
+/// the responsive traces come back in vp-major `(vp, dst)` order,
+/// byte-identical for every pool size. The `traceroute.campaign` span, the
+/// corpus size counters and the execution-dependent `campaign.workers`
+/// value go to the pool's recorder. Destination enumeration runs *before*
+/// the span opens: it is input preparation, identical at every thread
+/// count, and timing it inside the span inflated the campaign's serial
+/// baseline.
+pub fn probe_campaign(
     net: &Internet,
     vps: &[RouterId],
     cfg: &ProbeConfig,
     wp: &pool::WorkerPool,
-    rec: &obs::Recorder,
 ) -> Vec<Trace> {
+    let rec = wp.recorder();
     let dests = destinations(net, cfg);
     let _span = rec.span(obs::names::PHASE_TRACEROUTE);
     rec.tracer()
         .instant_main(obs::names::EV_CAMPAIGN_DESTS, dests.len() as u64);
-    let (traces, workers) = campaign_in_pool(net, vps, &dests, cfg, wp);
+    let jobs = vps.len() * dests.len();
+    let traces = run_chunks(wp, jobs, |k| {
+        let t = trace_one(net, vps[k / dests.len()], dests[k % dests.len()], cfg);
+        (t.responsive_count() > 0).then_some(t)
+    });
     rec.add(obs::names::TRACEROUTE_TRACES, traces.len() as u64);
     rec.add(
         obs::names::TRACEROUTE_HOPS,
@@ -481,7 +409,10 @@ pub fn probe_campaign_in_pool(
         obs::names::TRACEROUTE_RESPONSIVE_HOPS,
         traces.iter().map(|t| t.responsive_count() as u64).sum(),
     );
-    rec.add_exec(obs::names::EXEC_CAMPAIGN_WORKERS, workers as u64);
+    rec.add_exec(
+        obs::names::EXEC_CAMPAIGN_WORKERS,
+        wp.worker_cap(jobs) as u64,
+    );
     traces
 }
 
@@ -493,28 +424,18 @@ pub fn probe_campaign_in_pool(
 /// This is the churn workload's delta campaign: after a topology event, only
 /// the pairs whose paths traverse a touched AS are re-probed, and the caller
 /// splices the fresh traces (and their dependency sets) over its cache.
-/// Determinism matches the full campaign's: every trace is a pure function
-/// of `(campaign seed, vp, dst)`, and chunks concatenate in index order.
-pub fn probe_pairs_in_pool(
+/// Determinism matches the full campaign's: both run through the same
+/// index-ordered chunk runner.
+pub fn probe_pairs(
     net: &Internet,
     pairs: &[(RouterId, u32)],
     cfg: &ProbeConfig,
     wp: &pool::WorkerPool,
 ) -> Vec<(Trace, BTreeSet<Asn>)> {
-    let jobs = pairs.len();
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let batch = wp.batch_size(jobs);
-    let tasks = jobs.div_ceil(batch);
-    let shards = wp.run(obs::names::EXEC_POOL_BUSY_CAMPAIGN, tasks, |t| {
-        let (lo, hi) = (t * batch, ((t + 1) * batch).min(jobs));
-        pairs[lo..hi]
-            .iter()
-            .map(|&(vp, dst)| trace_with_deps(net, vp, dst, cfg))
-            .collect::<Vec<_>>()
-    });
-    shards.into_iter().flatten().collect()
+    run_chunks(wp, pairs.len(), |k| {
+        let (vp, dst) = pairs[k];
+        Some(trace_with_deps(net, vp, dst, cfg))
+    })
 }
 
 /// Which /24-equivalent interface kinds a trace traversed — handy campaign
@@ -556,14 +477,6 @@ pub fn stats(traces: &[Trace]) -> CampaignStats {
         }
     }
     s
-}
-
-/// True if an address belongs to an interface on an IXP LAN in the
-/// generated topology (test helper).
-pub fn is_ixp_addr(net: &Internet, addr: u32) -> bool {
-    net.topology
-        .iface_by_addr(addr)
-        .is_some_and(|i| matches!(i.kind, LinkKind::Ixp(_)))
 }
 
 #[cfg(test)]
@@ -622,7 +535,6 @@ mod tests {
     fn campaign_matches_serial_execution() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 3, &[], 3);
-        let parallel = probe_campaign(&net, &vps, &cfg);
         let dests = destinations(&net, &cfg);
         let (net_ref, cfg_ref) = (&net, &cfg);
         let serial: Vec<Trace> = vps
@@ -634,6 +546,7 @@ mod tests {
             })
             .filter(|t| t.responsive_count() > 0)
             .collect();
+        let parallel = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         assert_eq!(parallel, serial);
     }
 
@@ -641,48 +554,55 @@ mod tests {
     fn sharded_campaign_matches_for_every_thread_count() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 3, &[], 3);
-        let serial = probe_campaign_sharded(&net, &vps, &cfg, 1);
-        // Sweep thread counts past the job count: shards must concatenate to
+        let serial = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(1));
+        // Sweep pool sizes past the job count: chunks must concatenate to
         // the same corpus whether they split mid-VP, per-VP, or per-probe.
         for threads in [2, 3, 5, 8, 64] {
-            let sharded = probe_campaign_sharded(&net, &vps, &cfg, threads);
+            let sharded = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(threads));
             assert_eq!(serial, sharded, "threads={threads}");
         }
         assert_eq!(
             serial,
-            probe_campaign(&net, &vps, &cfg),
+            probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0)),
             "auto thread count"
         );
-    }
-
-    #[test]
-    fn campaign_workers_clamps() {
-        assert_eq!(campaign_workers(4, 100), 4);
-        assert_eq!(campaign_workers(4, 2), 2);
-        assert_eq!(campaign_workers(1, 0), 1);
-        assert!(campaign_workers(0, 100) >= 1, "auto resolves to >= 1");
     }
 
     #[test]
     fn with_obs_matches_and_records_workers() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 9);
-        let rec = obs::Recorder::new(false);
-        let traces = probe_campaign_with_obs(&net, &vps, &cfg, 2, &rec);
-        assert_eq!(traces, probe_campaign_sharded(&net, &vps, &cfg, 2));
-        let report = rec.report();
-        assert_eq!(report.exec[obs::names::EXEC_CAMPAIGN_WORKERS], 2);
-        assert_eq!(
-            report.counters[obs::names::TRACEROUTE_TRACES],
-            traces.len() as u64
-        );
+        let jobs = vps.len() * destinations(&net, &cfg).len();
+        let plain = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(2));
+        // The telemetry lands in the pool's recorder at every pool size
+        // (0 = ask the OS), and recording never changes the corpus.
+        for threads in [0, 1, 2, 3, 5, 8, 64] {
+            let rec = obs::Recorder::new(false);
+            let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
+            let traces = probe_campaign(&net, &vps, &cfg, &wp);
+            assert_eq!(traces, plain, "threads={threads}");
+            let report = rec.report();
+            assert_eq!(
+                report.counters[obs::names::TRACEROUTE_TRACES],
+                traces.len() as u64,
+                "threads={threads}"
+            );
+            assert_eq!(
+                report.exec[obs::names::EXEC_CAMPAIGN_WORKERS],
+                wp.worker_cap(jobs) as u64,
+                "threads={threads}"
+            );
+            if threads == 2 {
+                assert_eq!(report.exec[obs::names::EXEC_CAMPAIGN_WORKERS], 2);
+            }
+        }
     }
 
     #[test]
     fn first_hop_is_in_vp_as() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 4);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         assert!(!traces.is_empty());
         for t in traces.iter().take(50) {
             if let Some(Some(h)) = t.hops.first() {
@@ -703,7 +623,7 @@ mod tests {
         let cfg = ProbeConfig::default();
         let vps = select_vps(&net, 3, &[], 5);
         let stubs = net.graph.tier_members(Tier::Stub);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         // Border-dropping firewalled ASes never respond; border-responding
         // ones expose at most one router (the border) per trace.
         for t in &traces {
@@ -747,7 +667,7 @@ mod tests {
     fn echo_replies_present() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 4, &[], 6);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         let s = stats(&traces);
         assert!(s.echo_replies > 0, "campaign should contain echo replies");
         assert!(s.completed > 0);
@@ -758,7 +678,7 @@ mod tests {
     fn dest_unreachables_occur_and_end_measurements() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 4, &[], 11);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         let unreachable: Vec<&Trace> = traces
             .iter()
             .filter(|t| t.stop == StopReason::Unreachable)
@@ -810,7 +730,7 @@ mod tests {
             .flat_map(|&vp| dests.iter().map(move |&d| (vp, d)))
             .collect();
         let wp = pool::WorkerPool::new(2);
-        let traces = probe_pairs_in_pool(&net, &pairs, &cfg, &wp);
+        let traces = probe_pairs(&net, &pairs, &cfg, &wp);
         assert_eq!(traces.len(), pairs.len(), "unfiltered: one trace per pair");
         for (&(vp, dst), (t, deps)) in pairs.iter().zip(&traces) {
             assert_eq!(*t, trace_one(&net, vp, dst, &cfg));
@@ -881,7 +801,7 @@ mod tests {
     fn gap_limit_bounds_silent_tails() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 7);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = probe_campaign(&net, &vps, &cfg, &pool::WorkerPool::new(0));
         for t in &traces {
             if t.stop != StopReason::Completed {
                 let trailing = t.hops.iter().rev().take_while(|h| h.is_none()).count();

@@ -22,9 +22,11 @@ fn main() {
         net.topology.iface_count()
     );
 
-    // 2. An ITDK-style traceroute campaign from 8 vantage points.
+    // 2. An ITDK-style traceroute campaign from 8 vantage points, on a
+    //    worker pool sized to the machine.
+    let wp = bdrmapit::pool::WorkerPool::new(0);
     let vps = select_vps(&net, 8, &[], 1);
-    let traces = probe_campaign(&net, &vps, &ProbeConfig::default());
+    let traces = probe_campaign(&net, &vps, &ProbeConfig::default(), &wp);
     println!("collected {} traces", traces.len());
 
     // 3. The supporting datasets the paper consumes: a BGP collector RIB,
@@ -36,8 +38,8 @@ fn main() {
         &rib.collapsed_paths(),
         &as_rel::infer::InferenceConfig::default(),
     );
-    let observed = alias::observed_addresses(&traces, &bdrmapit::pool::WorkerPool::new(0));
-    let aliases = alias::resolve_midar(&net, &observed, 0.9, 7);
+    let observed = alias::observed_addresses(&traces, &wp);
+    let aliases = alias::resolve_midar(&net, &observed, alias::MIDAR_COVERAGE, 7, wp.recorder());
 
     // 4. bdrmapIT.
     let result = Bdrmapit::new(Config::default()).run(&traces, &aliases, &ip2as, &rels);

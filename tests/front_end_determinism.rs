@@ -180,7 +180,6 @@ fn front_end(threads: usize, with_obs: bool) -> (u64, u64, usize, usize) {
         &s.rels,
         &cones,
         &pool::WorkerPool::with_recorder(threads, rec.clone()),
-        &rec,
     );
     (
         hash_traces(&bundle.traces),
